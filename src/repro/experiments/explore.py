@@ -403,8 +403,10 @@ def run_explore(
     ``allocations`` names entries of :func:`explore_allocations`
     (default: all of them); ``models``/``protocols`` default to all
     four models and the plain handshake.  Partitioners run in the
-    driver (they are cheap and deterministic); every distinct design
-    point becomes one ``explore-cell`` job through ``engine``.
+    driver (deterministic, and cheap next to the design-point
+    simulations since each walk compiles its objective once); every
+    distinct design point becomes one ``explore-cell`` job through
+    ``engine``.
 
     With ``batch=True`` a layer's points sharing one (allocation,
     recipe) candidate are grouped into a single ``explore-batch`` job

@@ -2,7 +2,15 @@
 
 Three algorithms over the same move space (reassign one leaf behavior
 or one variable to another component) and the same objective
-(:func:`repro.partition.metrics.partition_cost`):
+(:func:`repro.partition.metrics.partition_cost`).  Each walk compiles
+that objective once into a
+:class:`~repro.partition.metrics.PartitionObjective` and moves over one
+plain ``{object: component}`` dict: a candidate move sets a key,
+prices the dict and restores the key (annealing keeps accepted moves
+and reverts rejected ones).  Costs are bit-identical to
+``partition_cost`` on the same assignment, so every decision matches a
+walk over :class:`Partition` objects; only the returned result is built
+— and validated — as a :class:`Partition`.
 
 * :func:`greedy_partition` — constructive: start with everything on the
   first component, repeatedly take the single move that most reduces
@@ -21,11 +29,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
 from repro.graph.access_graph import AccessGraph
-from repro.partition.metrics import partition_cost
+from repro.partition.metrics import PartitionObjective
 from repro.partition.partition import Partition
 from repro.spec.specification import Specification
 
@@ -72,14 +80,6 @@ def _move_space(spec: Specification, graph: AccessGraph) -> List[str]:
     return objects
 
 
-def _named(partition: Partition, name: str) -> Partition:
-    """A renamed clone.  The partitioners return this instead of
-    mutating ``partition.name`` so a caller-supplied seed partition is
-    never modified in place (the no-improvement path used to hand back
-    the seed object itself, renamed)."""
-    return Partition(partition.spec, partition.assignment, name=name)
-
-
 def _initial(spec: Specification, objects: Sequence[str], components) -> Partition:
     """Round-robin start: balanced, so descent spends its moves
     reducing the cut instead of fixing a lopsided load."""
@@ -90,13 +90,24 @@ def _initial(spec: Specification, objects: Sequence[str], components) -> Partiti
     return Partition(spec, assignment, name="auto")
 
 
-def _cost(graph, partition, balance_weight, expected_components):
-    return partition_cost(
-        graph,
-        partition,
-        balance_weight=balance_weight,
-        expected_components=expected_components,
-    )
+def _start(
+    spec: Specification,
+    objects: Sequence[str],
+    components,
+    seed_partition: Optional[Partition] = None,
+) -> Dict[str, str]:
+    """The walk's working assignment: a copy of ``seed_partition`` (or
+    of the round-robin start).  A coarse seed — one that assigns a
+    composite instead of its leaves — gets every missing movable object
+    filled in with the component it already resolves to, so the walk
+    can move it; the fill-in changes no cost."""
+    if seed_partition is None:
+        return dict(_initial(spec, objects, components).assignment)
+    assignment = dict(seed_partition.assignment)
+    for obj in objects:
+        if obj not in assignment:
+            assignment[obj] = seed_partition.effective_component_of_behavior(obj)
+    return assignment
 
 
 def greedy_partition(
@@ -111,27 +122,30 @@ def greedy_partition(
         raise PartitionError("need at least two components to partition")
     graph = graph or AccessGraph.from_specification(spec)
     objects = _move_space(spec, graph)
-    current = _initial(spec, objects, components)
-    current_cost = _cost(graph, current, balance_weight, len(components))
+    objective = PartitionObjective(spec, graph, balance_weight, len(components))
+    current = _start(spec, objects, components)
+    current_cost = objective.cost(current)
 
     for _ in range(max_rounds):
         best_move: Optional[Tuple[str, str]] = None
         best_cost = current_cost
         for obj in objects:
-            here = current.assignment[obj]
+            here = current[obj]
             for component in components:
                 if component == here:
                     continue
-                candidate = current.moved(obj, component)
-                cost = _cost(graph, candidate, balance_weight, len(components))
+                current[obj] = component
+                cost = objective.cost(current)
                 if cost < best_cost - 1e-12:
                     best_cost = cost
                     best_move = (obj, component)
+            current[obj] = here
         if best_move is None:
             break
-        current = current.moved(*best_move)
+        obj, component = best_move
+        current[obj] = component
         current_cost = best_cost
-    return _named(current, "greedy")
+    return Partition(spec, current, name="greedy")
 
 
 def kl_partition(
@@ -148,35 +162,36 @@ def kl_partition(
         raise PartitionError("need at least two components to partition")
     graph = graph or AccessGraph.from_specification(spec)
     objects = _move_space(spec, graph)
-    current = seed_partition or _initial(spec, objects, components)
-    current_cost = _cost(graph, current, balance_weight, len(components))
+    objective = PartitionObjective(spec, graph, balance_weight, len(components))
+    current = _start(spec, objects, components, seed_partition)
+    current_cost = objective.cost(current)
 
     for _ in range(max_passes):
         locked: set = set()
-        trail: List[Tuple[Partition, float]] = []
-        working = current
-        working_cost = current_cost
+        trail: List[Tuple[Dict[str, str], float]] = []
+        working = dict(current)
         while len(locked) < len(objects):
             best_move = None
             best_cost = math.inf
             for obj in objects:
                 if obj in locked:
                     continue
-                here = working.assignment[obj]
+                here = working[obj]
                 for component in components:
                     if component == here:
                         continue
-                    candidate = working.moved(obj, component)
-                    cost = _cost(graph, candidate, balance_weight, len(components))
+                    working[obj] = component
+                    cost = objective.cost(working)
                     if cost < best_cost:
                         best_cost = cost
-                        best_move = (obj, component, candidate)
+                        best_move = (obj, component)
+                working[obj] = here
             if best_move is None:
                 break
-            obj, component, working = best_move[0], best_move[1], best_move[2]
-            working_cost = best_cost
+            obj, component = best_move
+            working[obj] = component
             locked.add(obj)
-            trail.append((working, working_cost))
+            trail.append((dict(working), best_cost))
         if not trail:
             break
         prefix_best = min(trail, key=lambda item: item[1])
@@ -184,7 +199,7 @@ def kl_partition(
             current, current_cost = prefix_best
         else:
             break
-    return _named(current, "kl")
+    return Partition(spec, current, name="kl")
 
 
 def annealed_partition(
@@ -206,22 +221,25 @@ def annealed_partition(
         raise PartitionError("need at least two components to partition")
     graph = graph or AccessGraph.from_specification(spec)
     objects = _move_space(spec, graph)
+    objective = PartitionObjective(spec, graph, balance_weight, len(components))
     rng = random.Random(seed)
-    current = seed_partition or _initial(spec, objects, components)
-    current_cost = _cost(graph, current, balance_weight, len(components))
-    best, best_cost = current, current_cost
+    current = _start(spec, objects, components, seed_partition)
+    current_cost = objective.cost(current)
+    best, best_cost = dict(current), current_cost
     temperature = start_temperature
 
     for _ in range(steps):
         obj = rng.choice(objects)
-        here = current.assignment[obj]
+        here = current[obj]
         target = rng.choice([c for c in components if c != here])
-        candidate = current.moved(obj, target)
-        cost = _cost(graph, candidate, balance_weight, len(components))
+        current[obj] = target
+        cost = objective.cost(current)
         delta = cost - current_cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-            current, current_cost = candidate, cost
+            current_cost = cost
             if cost < best_cost:
-                best, best_cost = candidate, cost
+                best, best_cost = dict(current), cost
+        else:
+            current[obj] = here
         temperature *= cooling
-    return _named(best, "annealed")
+    return Partition(spec, best, name="annealed")

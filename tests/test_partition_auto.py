@@ -249,3 +249,40 @@ class TestAutoPartitionFeedsRefinement:
             pytest.skip("greedy collapsed to one component")
         refined = Refiner(spec, partition, MODEL2).run()
         check_equivalence(refined, inputs={"stimulus": 4}).raise_if_mismatched()
+
+
+class TestCoarseSeed:
+    """A valid seed that assigns a composite instead of its leaves used
+    to crash KL and annealing with a bare ``KeyError`` on the first
+    leaf missing from the seed's assignment."""
+
+    def _coarse_seed(self, spec, graph):
+        return Partition(
+            spec,
+            {"BVM": "SW", **{v: "HW" for v in sorted(graph.variable_names)}},
+            name="coarse",
+        )
+
+    @pytest.mark.parametrize("algorithm", [kl_partition, annealed_partition])
+    def test_walk_starts_from_a_coarse_seed(self, medical, algorithm):
+        spec, graph = medical
+        seed = self._coarse_seed(spec, graph)
+        result = algorithm(spec, graph=graph, seed_partition=seed)
+        assert set(movable_objects(spec, graph)) <= set(result.assignment)
+        assert set(result.components()) <= {"SW", "HW"}
+        assert partition_cost(
+            graph, result, expected_components=2
+        ) <= partition_cost(graph, seed, expected_components=2)
+        assert seed.assignment == self._coarse_seed(spec, graph).assignment
+
+    def test_fill_in_keeps_the_seed_cost(self, medical):
+        """With no steps the walk returns the filled-in seed, which
+        resolves every behavior to the component it had before."""
+        spec, graph = medical
+        seed = self._coarse_seed(spec, graph)
+        result = annealed_partition(
+            spec, graph=graph, steps=0, seed_partition=seed
+        )
+        for leaf in spec.leaf_behaviors():
+            assert result.assignment[leaf.name] == "SW"
+        assert partition_cost(graph, result) == partition_cost(graph, seed)

@@ -1,6 +1,7 @@
 """The workload registry: entry integrity, negative paths, the
 ``repro workloads`` / ``validate-hdl`` CLIs, and the per-workload
-golden figure reports (refresh with ``pytest --update-golden``)."""
+golden reports — figures, partitioner results and the default explore
+campaign (refresh with ``pytest --update-golden``)."""
 
 import re
 from pathlib import Path
@@ -260,3 +261,56 @@ class TestGoldenReports:
             f"{workload.id}_figure10.txt",
             _normalize_fig10(workload_fig10.render() + "\n"),
         )
+
+    def test_partitioners_golden(self, request, workload):
+        self._check(
+            request,
+            f"{workload.id}_partitioners.txt",
+            _render_partitioners(workload.spec()),
+        )
+
+    @pytest.mark.parametrize(
+        "workload_id", ["answering", "pcm_pwm", "pipeline", "mesh", "controller"]
+    )
+    def test_explore_golden(self, request, workload_id):
+        """The default campaign per workload; medical's is the committed
+        ``benchmarks/output/explore_frontier.txt``."""
+        from repro.experiments.explore import run_explore
+
+        self._check(
+            request,
+            f"{workload_id}_explore.txt",
+            run_explore(workload=workload_id).render() + "\n",
+        )
+
+
+def _render_partitioners(spec) -> str:
+    """Each partitioner's result and objective value on ``spec``:
+    greedy, KL seeded from greedy, annealing at seed 1996 and one
+    re-anneal (seed 7) starting from that result."""
+    from repro.exec import canonical_partition
+    from repro.graph import AccessGraph
+    from repro.partition import (
+        annealed_partition,
+        greedy_partition,
+        kl_partition,
+        partition_cost,
+    )
+
+    graph = AccessGraph.from_specification(spec)
+    greedy = greedy_partition(spec, graph=graph)
+    annealed = annealed_partition(spec, graph=graph, seed=1996)
+    results = [
+        ("greedy", greedy),
+        ("kl<greedy", kl_partition(spec, graph=graph, seed_partition=greedy)),
+        ("annealed@1996", annealed),
+        ("reanneal@7<annealed@1996", annealed_partition(
+            spec, graph=graph, seed=7, seed_partition=annealed,
+        )),
+    ]
+    lines = []
+    for recipe, partition in results:
+        cost = partition_cost(graph, partition, expected_components=2)
+        lines.append(f"{recipe} cost={cost!r}")
+        lines.append(f"  {canonical_partition(partition)}")
+    return "\n".join(lines) + "\n"
