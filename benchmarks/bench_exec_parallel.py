@@ -61,6 +61,7 @@ def run_exec_parallel_benchmark() -> dict:
         started = time.perf_counter()
         parallel = run_robustness(engine=parallel_engine)
         parallel_seconds = time.perf_counter() - started
+        parallel_engine.close()
 
         warm_engine = ExecutionEngine(cache=ResultCache(cache_root))
         started = time.perf_counter()

@@ -14,7 +14,8 @@ Boots the daemon as a subprocess and walks the service contract:
    file naming the crashing request ID;
 5. ``GET /metrics`` under the load above passes the in-repo
    exposition validator with non-zero latency-histogram counts;
-6. SIGTERM drains gracefully: in-flight work finishes, exit code 0 —
+6. SIGTERM drains gracefully: in-flight work finishes, exit code 0,
+   and no worker process the daemon had before the drain outlives it —
    and the ``--journal`` file validates, carrying the crash request's
    lifecycle.
 
@@ -52,6 +53,20 @@ def check(condition: bool, message: str) -> None:
         print(f"FAIL: {message}", file=sys.stderr)
         raise SystemExit(1)
     print(f"  ok: {message}")
+
+
+def child_pids(pid: int) -> set:
+    """The live child processes of ``pid`` (every thread's children),
+    read from ``/proc``."""
+    found = set()
+    task_dir = f"/proc/{pid}/task"
+    for tid in os.listdir(task_dir):
+        try:
+            with open(os.path.join(task_dir, tid, "children")) as handle:
+                found.update(int(child) for child in handle.read().split())
+        except OSError:
+            continue  # the thread exited while we looked
+    return found
 
 
 def main() -> int:
@@ -187,6 +202,9 @@ def main() -> int:
         drainee.start()
         poll_until(lambda: client.stats()["server"]["in_flight"] >= 1,
                    "drainee request went in flight")
+        workers = child_pids(proc.pid)
+        check(bool(workers),
+              f"daemon runs its long-lived worker(s) {sorted(workers)}")
         proc.send_signal(signal.SIGTERM)
         poll_until(lambda: not client.ready(),
                    "readiness flipped off on SIGTERM")
@@ -195,6 +213,9 @@ def main() -> int:
               "in-flight request completed during the drain")
         proc.wait(timeout=30)
         check(proc.returncode == 0, "daemon exited 0 after the drain")
+        survivors = sorted(p for p in workers if os.path.exists(f"/proc/{p}"))
+        check(not survivors,
+              f"no worker outlived the daemon (survivors: {survivors})")
 
         # the journal file validates and carries the crash lifecycle
         records = read_journal(journal_path)

@@ -20,6 +20,13 @@ Design points:
   oldest entries (by mtime, name-tiebroken) are evicted *down to
   exactly* ``capacity``: eviction never drops the population below the
   configured floor;
+* **indexed eviction** — the first ``put`` scans the directory once
+  into an in-memory index ordered by (mtime, key); later puts add to
+  it and evict by popping its oldest entries, so a write costs O(1)
+  amortised instead of a walk of the whole directory.  The index is
+  rebuilt from a full rescan once every ``capacity`` puts, which is
+  how entries written (or evicted) by other processes sharing the
+  directory are picked up; a lock guards it for threaded callers;
 * **pass-through degradation** — an unwritable cache directory
   (read-only filesystem, permissions, a file squatting on the path)
   turns ``put`` into a warned-once no-op instead of failing the
@@ -29,10 +36,12 @@ Design points:
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -86,6 +95,19 @@ class ResultCache:
     stats: CacheStats = field(default_factory=CacheStats)
     #: set once ``put`` hits an unwritable directory; further puts no-op
     read_only: bool = field(default=False, compare=False)
+    #: key -> mtime_ns of every known entry (``None`` until first put)
+    _index: Optional[Dict[str, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: (mtime_ns, key) min-heap over ``_index``; pairs that no longer
+    #: match the index (rewritten or dropped entries) are skipped
+    _heap: List[Tuple[int, str]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _puts_since_scan: int = field(default=0, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -128,7 +150,7 @@ class ResultCache:
             self.stats.misses += 1
             return None
         except (OSError, ValueError, UnicodeDecodeError):
-            self._discard(path)
+            self._drop(key)
             self.stats.errors += 1
             self.stats.misses += 1
             return None
@@ -139,7 +161,7 @@ class ResultCache:
             or (task is not None and data.get("task") != task)
             or "payload" not in data
         ):
-            self._discard(path)
+            self._drop(key)
             self.stats.errors += 1
             self.stats.misses += 1
             return None
@@ -156,7 +178,7 @@ class ResultCache:
         salt: Optional[str] = None,
     ) -> None:
         """Store ``payload`` under ``key`` (atomic), then enforce the
-        capacity bound.
+        capacity bound through the index (see the module docstring).
 
         On an unwritable cache directory this *degrades to
         pass-through* instead of raising mid-campaign: the first
@@ -200,7 +222,16 @@ class ResultCache:
                 self._discard(tmp)
             raise
         self.stats.puts += 1
-        self._enforce_capacity()
+        with self._lock:
+            if self._index is None or self._puts_since_scan >= self.capacity:
+                self._rescan()  # first use, or the periodic resync
+            else:
+                try:
+                    self._note(key, os.stat(path).st_mtime_ns)
+                except OSError:
+                    pass  # already evicted by another writer
+            self._puts_since_scan += 1
+            self._trim()
 
     # -- eviction ------------------------------------------------------------
 
@@ -217,18 +248,49 @@ class ResultCache:
         aged.sort()
         return aged
 
-    def _enforce_capacity(self) -> None:
+    def _rescan(self) -> None:
+        """Rebuild the index from one scan of the directory."""
         aged = self._aged_entries()
-        excess = len(aged) - self.capacity
-        for mtime, key, path in aged[: max(excess, 0)]:
-            self._discard(path)
-            self.stats.evictions += 1
+        self._index = {key: mtime for mtime, key, _ in aged}
+        self._heap = [(mtime, key) for mtime, key, _ in aged]  # sorted: a heap
+        self._puts_since_scan = 0
 
-    def _discard(self, path: str) -> None:
+    def _note(self, key: str, mtime: int) -> None:
+        self._index[key] = mtime
+        heapq.heappush(self._heap, (mtime, key))
+
+    def _trim(self) -> None:
+        """Evict the oldest indexed entries down to exactly ``capacity``."""
+        while len(self._index) > self.capacity:
+            mtime, key = heapq.heappop(self._heap)
+            if self._index.get(key) != mtime:
+                continue  # stale pair: the entry was rewritten or dropped
+            del self._index[key]
+            if self._discard(self._path(key)):
+                self.stats.evictions += 1
+
+    def _enforce_capacity(self) -> None:
+        """Rescan the directory now and evict down to ``capacity``."""
+        with self._lock:
+            self._rescan()
+            self._trim()
+
+    def _drop(self, key: str) -> None:
+        """Delete one entry and forget it in the index."""
+        self._discard(self._path(key))
+        with self._lock:
+            if self._index is not None:
+                self._index.pop(key, None)
+
+    def _discard(self, path: str) -> bool:
+        """Delete ``path``; ``False`` only if it was already gone."""
         try:
             os.remove(path)
+        except FileNotFoundError:
+            return False
         except OSError:
             pass
+        return True
 
     def remove_temp_files(self) -> int:
         """Delete abandoned ``.tmp-*`` scratch files (left behind only
@@ -250,4 +312,6 @@ class ResultCache:
         for key in self.entries():
             self._discard(self._path(key))
             removed += 1
+        with self._lock:
+            self._index = None  # the next put rescans
         return removed

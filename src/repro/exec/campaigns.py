@@ -97,21 +97,22 @@ def task_names() -> List[str]:
 
 # -- parameter encodings -----------------------------------------------------
 
-_SPEC_MEMO: Dict[int, object] = {}
+#: spec text -> parsed specification; keyed by the text itself, since
+#: a hash collision must never hand back another job's specification
+_SPEC_MEMO: Dict[str, object] = {}
 
 
 def _spec_from_text(text: str):
     """Parse + validate ``text``, memoised per worker process (grids
     repeat the same specification across every job)."""
-    key = hash(text)
-    spec = _SPEC_MEMO.get(key)
+    spec = _SPEC_MEMO.get(text)
     if spec is None:
         from repro.lang.parser import parse
 
         spec = parse(text)
         spec.validate()
         _SPEC_MEMO.clear()  # grids share one spec; keep the memo tiny
-        _SPEC_MEMO[key] = spec
+        _SPEC_MEMO[text] = spec
     return spec
 
 

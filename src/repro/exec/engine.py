@@ -233,6 +233,13 @@ class ExecutionEngine:
                 raise  # genuine TypeError from inside the executor
             return self.executor.run(items)
 
+    def close(self) -> None:
+        """Shut down and reap the executor's long-lived workers, if it
+        has any.  The campaign CLIs call this when a campaign ends."""
+        close = getattr(self.executor, "close", None)
+        if callable(close):
+            close()
+
     def abort(self) -> None:
         """Best-effort cleanup after an interrupt: tear down any live
         worker pools and remove half-written cache temp files.  The

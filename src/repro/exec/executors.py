@@ -14,12 +14,14 @@ into a structured error so campaign reports stay deterministic:
 ``timeout``
     The job exceeded the per-job wall-clock budget.  The worker that
     ran it is poisoned (it may still be computing), so the process
-    pool is recycled before the remaining jobs continue.
+    pool is killed, its workers reaped, and a fresh pool runs the
+    remaining jobs.
 ``crash``
     A worker process died mid-job (killed, segfaulted, OOMed).  The
-    process executor *degrades gracefully*: the in-flight and
-    remaining jobs are recomputed serially in the parent process, so
-    a flaky pool can slow a campaign down but never lose results.
+    pool is killed and reaped as for a timeout.  The process executor
+    *degrades gracefully*: the in-flight and remaining jobs are
+    recomputed serially in the parent process, so a flaky pool can
+    slow a campaign down but never lose results.
 ``cancelled``
     A caller-supplied cancellation event was set before the job
     started; jobs already running finish normally.
@@ -27,14 +29,23 @@ into a structured error so campaign reports stay deterministic:
 Both executors accept per-call overrides — ``run(items, timeout=...,
 cancel=...)`` — which is how the serving layer (:mod:`repro.serve`)
 propagates one request's deadline into exactly that request's jobs
-without touching the executor's configured default, and
-:meth:`ProcessExecutor.terminate` tears down any live pool, which is
-what the campaign CLIs call on SIGINT/SIGTERM.
+without touching the executor's configured default.
+
+A :class:`ProcessExecutor` keeps **one long-lived pool**: its workers
+are forked on first use (or by :meth:`ProcessExecutor.start`) and
+serve every later :meth:`ProcessExecutor.run`, so warm imports and
+per-worker memos survive between runs.  A worker is forked again only
+to replace a pool that a crash or a timeout killed.
+:meth:`ProcessExecutor.close` shuts the pool down and reaps its
+workers; :meth:`ProcessExecutor.terminate` kills and reaps them now,
+which is what the campaign CLIs call on SIGINT/SIGTERM.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 import traceback
@@ -44,6 +55,9 @@ __all__ = ["SerialExecutor", "ProcessExecutor", "resolve_executor"]
 
 Outcome = Dict[str, object]
 Item = Tuple[str, Dict[str, object]]
+
+#: seconds a killed or shut-down worker gets to exit before SIGKILL
+_REAP_SECONDS = 5.0
 
 
 def _structured_error(kind: str, exc: Optional[BaseException], message: str = "") -> Dict[str, object]:
@@ -83,6 +97,14 @@ def _execute_one(task: str, params: Dict[str, object]) -> Outcome:
 def _run_shard(shard: List[Item]) -> List[Outcome]:
     """Worker entry point: run a shard of jobs sequentially."""
     return [_execute_one(task, params) for task, params in shard]
+
+
+def _init_worker() -> None:
+    """Pool initializer: restore the default SIGTERM action.  A worker
+    forked after its parent installed a SIGTERM handler (the serve
+    daemon's drain, a campaign CLI's interrupt guard) would otherwise
+    run that handler instead of dying when it is killed."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _cancelled_outcome() -> Outcome:
@@ -135,8 +157,9 @@ class ProcessExecutor:
         On a worker crash, recompute the unfinished jobs serially in
         the parent instead of raising (default on).
 
-    Instances are reusable; ``degraded``/``timeouts``/``restarts``
-    accumulate over runs for the engine's metrics.
+    Instances are reusable and keep their pool between runs;
+    ``degraded``/``timeouts``/``restarts`` accumulate over runs for the
+    engine's metrics.  Call :meth:`close` when done.
     """
 
     name = "process"
@@ -164,8 +187,9 @@ class ProcessExecutor:
         self.timeouts = 0
         self.retries = 0
         self.restarts = 0
-        #: pools currently executing (terminate() reaps them)
-        self._live_pools: set = set()
+        #: the long-lived pool: created on first use, reused across
+        #: runs, replaced only after a crash or a timeout killed it
+        self._pool = None
         self._pool_lock = threading.Lock()
 
     # -- pool plumbing -------------------------------------------------------
@@ -180,35 +204,77 @@ class ProcessExecutor:
         except ValueError:
             return multiprocessing.get_context()
 
-    def _new_pool(self):
+    def _ensure_pool(self):
+        """The live pool, created (its workers forked) on first use."""
         from concurrent.futures import ProcessPoolExecutor
 
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._context()
-        )
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=self._context(),
+                    initializer=_init_worker,
+                )
+            return self._pool
+
+    def _detach(self, pool) -> List:
+        """Forget ``pool`` if it is the live one; returns its worker
+        processes (read before any shutdown clears them)."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        return list((getattr(pool, "_processes", None) or {}).values())
 
     @staticmethod
-    def _kill_pool(pool) -> None:
-        """Tear a pool down *now*, stuck workers included."""
-        # _processes is internal, but it is the only way to reap a
+    def _reap(processes) -> None:
+        for process in processes:
+            process.join(_REAP_SECONDS)
+            if process.exitcode is None:
+                process.kill()
+                process.join()
+
+    def _kill_pool(self, pool) -> None:
+        """Tear ``pool`` down *now*, stuck workers included, and reap
+        them; the next run starts a fresh pool."""
+        # _processes is internal, but it is the only way to reach a
         # worker that is still executing an abandoned (timed-out) job;
         # shutdown() alone would block on it.
-        try:
-            for process in list(getattr(pool, "_processes", {}).values()):
+        processes = self._detach(pool)
+        manager = getattr(pool, "_executor_manager_thread", None)
+        for process in processes:
+            try:
                 process.terminate()
-        except Exception:
-            pass
+            except Exception:
+                pass
         pool.shutdown(wait=False, cancel_futures=True)
+        # the pool's manager thread joins the workers it sees die; let
+        # it finish first, since two threads reaping one child race
+        if manager is not None:
+            manager.join(_REAP_SECONDS)
+        self._reap(processes)
+
+    def start(self) -> None:
+        """Fork the workers now rather than on the first :meth:`run`
+        (the daemon does this before it starts any thread of its own)."""
+        self._ensure_pool().submit(os.getpid).result()
+
+    def close(self) -> None:
+        """Shut the pool down and reap its workers (waits for running
+        jobs).  Idempotent; a later :meth:`run` starts a fresh pool."""
+        pool = self._pool
+        if pool is not None:
+            processes = self._detach(pool)
+            pool.shutdown(wait=True)
+            self._reap(processes)
 
     def terminate(self) -> None:
-        """Kill every live pool *now* (SIGINT/SIGTERM cleanup path).
+        """Kill and reap the live pool's workers *now* (SIGINT/SIGTERM
+        cleanup path).
 
         Safe to call from a signal handler's aftermath or another
         thread; a run interrupted this way raises out of ``run`` as
         usual, but no worker process is left behind."""
-        with self._pool_lock:
-            pools = list(self._live_pools)
-        for pool in pools:
+        pool = self._pool
+        if pool is not None:
             self._kill_pool(pool)
 
     # -- execution -----------------------------------------------------------
@@ -241,6 +307,26 @@ class ProcessExecutor:
             shards.append((indices, [items[i] for i in indices]))
         return shards
 
+    def _submit(self, shards: List[Tuple[List[int], List[Item]]]):
+        """Submit every shard to the live pool; returns the pool and
+        ``(future, indices, shard)`` triples.  A worker that died while
+        the pool sat idle breaks it before any job of this run started:
+        the pool is replaced once and the shards resubmitted."""
+        from concurrent.futures import BrokenExecutor
+
+        for attempt in (0, 1):
+            pool = self._ensure_pool()
+            try:
+                return pool, [
+                    (pool.submit(_run_shard, shard), indices, shard)
+                    for indices, shard in shards
+                ]
+            except BrokenExecutor:
+                self._kill_pool(pool)
+                self.restarts += 1
+                if attempt:
+                    raise
+
     def _run_wave(
         self,
         shards: List[Tuple[List[int], List[Item]]],
@@ -253,15 +339,9 @@ class ProcessExecutor:
         from concurrent.futures import BrokenExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
 
-        pool = self._new_pool()
-        with self._pool_lock:
-            self._live_pools.add(pool)
+        pool, futures = self._submit(shards)
         pool_dead = False
         try:
-            futures = [
-                (pool.submit(_run_shard, shard), indices, shard)
-                for indices, shard in shards
-            ]
             requeue: List[Tuple[List[int], List[Item]]] = []
             crashed: List[Tuple[List[int], List[Item]]] = []
             for future, indices, shard in futures:
@@ -304,16 +384,11 @@ class ProcessExecutor:
                                 "error": _structured_error("crash", exc),
                                 "seconds": 0.0,
                             }
-            if not pool_dead:
-                pool.shutdown(wait=True)
         except BaseException:
             # interrupted (KeyboardInterrupt/SIGTERM): never leave
             # worker processes grinding behind the raise
             self._kill_pool(pool)
             raise
-        finally:
-            with self._pool_lock:
-                self._live_pools.discard(pool)
         if crashed and self.serial_fallback:
             # graceful degradation: a worker died mid-job; recompute the
             # in-flight shard and everything still queued in-process
@@ -338,12 +413,8 @@ class ProcessExecutor:
 
 def _available_cpus() -> int:
     try:
-        import os
-
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):
-        import os
-
         return max(1, os.cpu_count() or 1)
 
 

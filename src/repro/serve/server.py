@@ -13,9 +13,11 @@ Robustness is the headline:
 
 * **worker isolation** — each of the ``workers`` slots owns a
   single-worker :class:`repro.exec.executors.ProcessExecutor` with
-  serial fallback *off*: a job that SIGKILLs its worker produces a
-  structured 500 on that request only and is never re-run in the
-  server process;
+  serial fallback *off*, whose long-lived worker is forked at start-up
+  and serves every request of that slot: a job that SIGKILLs its
+  worker produces a structured 500 on that request only, is never
+  re-run in the server process, and the slot's next request gets a
+  freshly forked worker;
 * **deadlines** — a request's ``deadline`` (seconds) is decremented
   through queueing and propagated into the per-job execution timeout;
   exhaustion anywhere yields a structured 504;
@@ -272,6 +274,7 @@ class _Slot:
         self.index = index
         if config.executor == "process":
             executor = ProcessExecutor(workers=1, serial_fallback=False)
+            executor.start()
         elif config.executor == "serial":
             executor = SerialExecutor()
         else:
@@ -376,7 +379,11 @@ class ReproServer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ReproServer":
-        """Bind, spin up the listener thread and the worker slots."""
+        """Start the worker slots, then bind and spin up the listener.
+
+        Each slot forks its long-lived worker here, before the
+        listener thread exists; later forks only replace a worker that
+        crashed or timed out."""
         if self._started:
             raise RuntimeError("server already started")
         if self.config.chaos:
@@ -392,9 +399,13 @@ class ReproServer:
             )
             self._all_slots.append(slot)
             self._slots.put(slot)
-        self._httpd = _HTTPServer(
-            (self.config.host, self.config.port), _Handler
-        )
+        try:
+            self._httpd = _HTTPServer(
+                (self.config.host, self.config.port), _Handler
+            )
+        except BaseException:
+            self._stop_workers()  # e.g. the port is taken
+            raise
         self._httpd.repro = self
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(
@@ -471,14 +482,19 @@ class ReproServer:
             self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        for slot in self._all_slots:
-            terminate = getattr(slot.engine.executor, "terminate", None)
-            if callable(terminate):
-                terminate()
+        self._stop_workers()
         if self.cache is not None:
             self.cache.remove_temp_files()
         self.journal.emit("server-closed")
         self.journal.close()
+
+    def _stop_workers(self) -> None:
+        """Kill and reap every slot's worker (a drained daemon has none
+        busy), so none outlives the daemon."""
+        for slot in self._all_slots:
+            terminate = getattr(slot.engine.executor, "terminate", None)
+            if callable(terminate):
+                terminate()
 
     # -- request handling ----------------------------------------------------
 

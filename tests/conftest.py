@@ -102,3 +102,11 @@ def fig10(medical_spec):
     from repro.experiments import run_figure10
 
     return run_figure10(spec=medical_spec, check_equivalence=False)
+
+
+@pytest.fixture
+def flight_dir(tmp_path):
+    """A per-test directory for serve flight-recorder dumps: tests that
+    provoke crashes, deadlines or open circuits leave nothing in the
+    checkout's default ``benchmarks/output``."""
+    return str(tmp_path / "flight")

@@ -32,15 +32,17 @@ def _boom(params):
 
 
 @pytest.fixture
-def server(tmp_path):
+def server(tmp_path, flight_dir):
     """An in-process daemon on an ephemeral port, chaos tasks on,
-    cache under the test's tmp dir; closed at teardown."""
+    cache and flight dumps under the test's tmp dir; closed at
+    teardown."""
     instance = ReproServer(
         ServeConfig(
             port=0,
             workers=2,
             queue_limit=4,
             cache_dir=str(tmp_path / "cache"),
+            flight_dir=flight_dir,
             chaos=True,
             breaker_cooldown=0.2,
         )
@@ -187,9 +189,10 @@ class TestEndpoints:
 
 
 class TestTraceEndpoint:
-    def test_trace_collects_slot_spans(self):
+    def test_trace_collects_slot_spans(self, flight_dir):
         server = ReproServer(
-            ServeConfig(port=0, workers=1, no_cache=True, trace=True)
+            ServeConfig(port=0, workers=1, no_cache=True, trace=True,
+                        flight_dir=flight_dir)
         ).start()
         try:
             client = _client(server)
@@ -234,10 +237,10 @@ class TestDeadlines:
         assert response.status == 504
         assert response.error_kind() == "deadline"
 
-    def test_deadline_clamped_to_max(self):
+    def test_deadline_clamped_to_max(self, flight_dir):
         server = ReproServer(
             ServeConfig(port=0, workers=1, no_cache=True, max_deadline=0.3,
-                        chaos=True)
+                        chaos=True, flight_dir=flight_dir)
         ).start()
         try:
             response = _client(server).submit(
@@ -308,11 +311,12 @@ class TestLoadgen:
         other = build_job_pool(LoadgenConfig(seed=4, cases=2, vectors=2))
         assert other != build_job_pool(config)
 
-    def test_loadgen_report_stable_across_runs(self):
+    def test_loadgen_report_stable_across_runs(self, flight_dir):
         from repro.serve import run_loadgen
 
         server = ReproServer(
-            ServeConfig(port=0, workers=2, no_cache=True)
+            ServeConfig(port=0, workers=2, no_cache=True,
+                        flight_dir=flight_dir)
         ).start()
         try:
             config = LoadgenConfig(

@@ -24,9 +24,20 @@ from repro.serve import ReproClient, ReproServer, ServeConfig
 pytestmark = pytest.mark.slow
 
 
+#: the ServeConfig every test starts from (plus its overrides)
+_DEFAULTS = dict(port=0, workers=1, queue_limit=1, no_cache=True,
+                 chaos=True, breaker_threshold=2, breaker_cooldown=0.3)
+
+
+@pytest.fixture(autouse=True)
+def _flight_dumps_in_tmp(flight_dir, monkeypatch):
+    """Every fault below dumps the flight recorder: into the test's
+    tmp dir, not the checkout."""
+    monkeypatch.setitem(_DEFAULTS, "flight_dir", flight_dir)
+
+
 def _start(**overrides):
-    options = dict(port=0, workers=1, queue_limit=1, no_cache=True,
-                   chaos=True, breaker_threshold=2, breaker_cooldown=0.3)
+    options = dict(_DEFAULTS)
     options.update(overrides)
     return ReproServer(ServeConfig(**options)).start()
 
