@@ -26,13 +26,13 @@ task               one job computes
 ``sweep-cell``     refine one (design, model, protocol), derive a seeded
                    stimulus, verify equivalence — ``repro sweep``'s unit
 ``batch-cell``     refine one (design, model, protocol) once and verify
-                   *many* seeds as lanes of one batched co-simulation —
+                   *many* seeds on one reused simulator pair —
                    ``repro sweep --batch``'s unit; per-seed cells are
                    byte-identical to the ``sweep-cell`` payloads
 ``simulate-cell``  parse a spec and execute its functional model under a
                    given stimulus — the unit ``repro serve`` clients and
                    the ``repro loadgen`` harness submit; accepts a
-                   ``stimuli`` list to batch several vectors in one job
+                   ``stimuli`` list to run several vectors in one job
 ``explore-cell``   evaluate one design point of the ``repro explore``
                    campaign: refine (partition, model, protocol) under an
                    allocation, execute the refined design with kernel
@@ -47,8 +47,8 @@ task               one job computes
 =================  ==========================================================
 
 Payloads that carry simulation results also carry a ``kernel`` tag
-naming the variant that produced them (``walker`` / ``compiled`` /
-``batched``), so cached results from different kernels stay auditable.
+naming the kernel variant that produced them (``compiled``), so cached
+results stay auditable.
 """
 
 from __future__ import annotations
@@ -359,13 +359,7 @@ def fuzz_case(params: Dict[str, object]) -> Dict[str, object]:
     case = generate_case(case_seed, config)
     inputs = generate_input_vectors(case.spec, case_seed, params["vectors"])
     models = [resolve_model(m) for m in params["models"]]
-    result = run_all_oracles(
-        case,
-        inputs,
-        models,
-        params["max_steps"],
-        batch_lanes=params.get("batch_lanes"),
-    )
+    result = run_all_oracles(case, inputs, models, params["max_steps"])
     return {
         "checks": result.checks,
         "failures": _failures_to_params(result.failures),
@@ -402,44 +396,31 @@ def simulate_cell(params: Dict[str, object]) -> Dict[str, object]:
 
     Two forms:
 
-    * ``inputs`` (one stimulus) — a single compiled single-lane run;
-    * ``stimuli`` (a list of stimulus dicts) — every vector advances
-      as one lane of a :class:`repro.sim.batch.BatchSimulator`; the
-      payload carries one entry per lane, byte-identical to what the
-      single-stimulus form reports for the same vector.
+    * ``inputs`` (one stimulus) — a single compiled run;
+    * ``stimuli`` (a list of stimulus dicts) — every vector runs in
+      order on one reused :class:`~repro.sim.interpreter.Simulator`
+      (compiled once); the payload's ``lanes`` list carries one entry
+      per vector, byte-identical to what the single-stimulus form
+      reports for it.  The first vector that fails raises.
     """
     from repro.sim.interpreter import Simulator
 
     spec = _spec_from_params(params)
     limits = limits_from_params(params.get("limits"))
+    simulator = Simulator(spec)
+
+    def summary(inputs) -> Dict[str, object]:
+        result = simulator.run(inputs=dict(inputs or {}), limits=limits)
+        return {
+            "completed": result.completed,
+            "steps": result.steps,
+            "outputs": result.output_values(),
+        }
+
     stimuli = params.get("stimuli")
     if stimuli is not None:
-        from repro.sim.batch import BatchSimulator
-
-        batch = BatchSimulator(spec).run_batch(
-            [dict(stimulus or {}) for stimulus in stimuli], limits=limits
-        )
-        batch.raise_first_error()
-        return {
-            "kernel": "batched",
-            "lanes": [
-                {
-                    "completed": lane.result.completed,
-                    "steps": lane.result.steps,
-                    "outputs": lane.result.output_values(),
-                }
-                for lane in batch
-            ],
-        }
-    result = Simulator(spec).run(
-        inputs=dict(params.get("inputs") or {}), limits=limits
-    )
-    return {
-        "kernel": "compiled",
-        "completed": result.completed,
-        "steps": result.steps,
-        "outputs": result.output_values(),
-    }
+        return {"kernel": "compiled", "lanes": [summary(s) for s in stimuli]}
+    return {"kernel": "compiled", **summary(params.get("inputs"))}
 
 
 # -- sweep -------------------------------------------------------------------
@@ -509,21 +490,21 @@ def sweep_cell(params: Dict[str, object]) -> Dict[str, object]:
 @register("batch-cell")
 def batch_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Many ``repro sweep`` seeds of one (design, model, protocol)
-    cell-family as a single batched job: refine *once*, then verify
-    every seed as one lane of a batched original-vs-refined
-    co-simulation.
+    cell-family as a single job: refine and compile *once*, then
+    co-simulate every seed on one reused original/refined
+    :class:`~repro.sim.interpreter.Simulator` pair.
 
     The payload's ``cells`` list carries, per seed and in seed order,
     exactly the fields a ``sweep-cell`` job reports for that seed
-    (plus ``seed`` and the ``batched`` kernel tag).  A lane that
-    faults carries an ``error`` entry instead — its text replayed
-    through the single-lane kernel, so it reads byte-identically to
-    the serial job's failure.
+    (plus ``seed``).  A seed whose run raises carries an ``error``
+    entry (``"Type: message"``) instead, and the remaining seeds
+    still run.
     """
+    from repro.errors import ReproError
     from repro.models import resolve_model
     from repro.refine.refiner import Refiner
-    from repro.sim.batch import BatchSimulator
     from repro.sim.equivalence import compare_runs
+    from repro.sim.interpreter import Simulator
 
     spec = _spec_from_params(params)
     partition = _partition_for(spec, params)
@@ -534,26 +515,21 @@ def batch_cell(params: Dict[str, object]) -> Dict[str, object]:
         protocol=params["protocol"],
     ).run()
     limits = limits_from_params(params.get("limits"))
-    seeds = list(params["seeds"])
-    vectors = [
-        sweep_inputs(spec, seed, params.get("inputs")) for seed in seeds
-    ]
-    original_batch = BatchSimulator(refined.original).run_batch(
-        vectors, limits=limits
-    )
-    refined_batch = BatchSimulator(refined.spec).run_batch(
-        vectors, limits=limits
-    )
+    original_sim = Simulator(refined.original)
+    refined_sim = Simulator(refined.spec)
     refined_lines = refined.line_counts()["refined"]
     cells: List[Dict[str, object]] = []
-    for seed, inputs, original, lane in zip(
-        seeds, vectors, original_batch, refined_batch
-    ):
-        faulted = original if not original.ok else lane
-        if not faulted.ok:
-            cells.append({"seed": seed, "error": faulted.error_text})
+    for seed in params["seeds"]:
+        inputs = sweep_inputs(spec, seed, params.get("inputs"))
+        try:
+            original = original_sim.run(inputs=inputs, limits=limits)
+            refined_run = refined_sim.run(inputs=inputs, limits=limits)
+        except ReproError as exc:
+            cells.append(
+                {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+            )
             continue
-        report = compare_runs(refined, inputs, original.result, lane.result)
+        report = compare_runs(refined, inputs, original, refined_run)
         cells.append(
             {
                 "seed": seed,
@@ -561,7 +537,7 @@ def batch_cell(params: Dict[str, object]) -> Dict[str, object]:
                 "equivalent": report.equivalent,
                 "inputs": inputs,
                 "steps": report.refined_run.steps,
-                "kernel": "batched",
+                "kernel": "compiled",
             }
         )
     return {"cells": cells}

@@ -189,8 +189,6 @@ def run_fuzz(
     corpus: Optional[str] = DEFAULT_CORPUS_DIR,
     tracer=None,
     engine=None,
-    batch: bool = False,
-    lanes: int = 8,
 ) -> FuzzReport:
     """Run ``count`` generated cases through every applicable oracle.
 
@@ -198,13 +196,6 @@ def run_fuzz(
     ``budget`` overrides the generator's statement budget; ``corpus``
     names a regression-corpus directory to replay first (``None``
     skips it).  Same arguments, same report — byte for byte.
-
-    ``batch=True`` adds the batch-parity oracle to every generated
-    case (each case's vectors advance as lanes of one batched run and
-    must match their single-lane runs bit for bit); ``lanes`` caps the
-    lanes per batch.  The ``batch_lanes`` parameter is only added to
-    job params when batching is on, so existing cached ``fuzz-case``
-    results keep their keys.
 
     Each corpus entry and each generated case is one job (``fuzz-corpus``
     / ``fuzz-case``) dispatched through ``engine`` (an
@@ -256,8 +247,6 @@ def run_fuzz(
             "models": model_names,
             "max_steps": max_steps,
         }
-        if batch:
-            params["batch_lanes"] = lanes
         jobs.append(Job("fuzz-case", params, label=f"case-{case_seed}"))
 
     # Campaign correlation (same pattern as run_sweep): inherit the

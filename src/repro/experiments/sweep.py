@@ -33,6 +33,8 @@ __all__ = ["SweepCell", "SweepResult", "run_sweep"]
 
 DEFAULT_PROTOCOLS = ("handshake",)
 DEFAULT_SEEDS = (0,)
+#: seeds per ``batch-cell`` job under ``batch=True``
+SEEDS_PER_JOB = 8
 
 
 @dataclass
@@ -47,7 +49,6 @@ class SweepCell:
     steps: int
     equivalent: bool
     #: which simulation kernel produced this cell's verdict
-    #: ("compiled" for sweep-cell jobs, "batched" for batch-cell lanes)
     kernel: str = "compiled"
 
 
@@ -89,7 +90,7 @@ class SweepResult:
 
     def kernel_counts(self) -> Dict[str, int]:
         """How many cells each kernel variant produced — the audit
-        trail for mixed batched/serial (or cache-hit) campaigns."""
+        trail for campaigns that mix fresh and cached results."""
         counts: Dict[str, int] = {}
         for cell in self.cells:
             counts[cell.kernel] = counts.get(cell.kernel, 0) + 1
@@ -97,9 +98,8 @@ class SweepResult:
 
     def as_json(self) -> str:
         """The machine-readable report (``repro sweep --json``): every
-        cell with its kernel variant, plus per-variant counts.  The
-        cell list is byte-identical between serial and batched runs
-        except for the ``kernel`` tags themselves."""
+        cell with its kernel variant, plus per-variant counts.  It is
+        byte-identical between serial and batched runs."""
         import json
 
         return json.dumps(
@@ -136,7 +136,6 @@ def run_sweep(
     limits: Optional[KernelLimits] = None,
     engine=None,
     batch: bool = False,
-    lanes: int = 8,
     workload=None,
 ) -> SweepResult:
     """Cross-product sweep; every cell is one ``sweep-cell`` job.
@@ -152,10 +151,9 @@ def run_sweep(
 
     With ``batch=True`` the grid's seeds are grouped per (design,
     model, protocol) cell-family into ``batch-cell`` jobs of up to
-    ``lanes`` seeds each — one refinement and one batched
-    co-simulation per job instead of one per seed.  The resulting
-    cells (and the rendered table) are byte-identical to the serial
-    sweep; only the :attr:`SweepCell.kernel` tags differ.
+    :data:`SEEDS_PER_JOB` seeds each — one refinement and one compile
+    per job instead of one per seed.  The resulting cells (and the
+    rendered table) are byte-identical to the serial sweep.
     """
     from repro.exec import ExecutionEngine, Job, canonical_partition
     from repro.exec import canonical_spec_text
@@ -214,8 +212,6 @@ def run_sweep(
         return result
 
     if batch:
-        if lanes < 1:
-            raise ReproError(f"--lanes must be >= 1, got {lanes}")
         families = [
             (design, model, protocol)
             for design in design_names
@@ -223,8 +219,8 @@ def run_sweep(
             for protocol in protocol_names
         ]
         chunks = [
-            seed_list[i : i + lanes]
-            for i in range(0, len(seed_list), lanes)
+            seed_list[i : i + SEEDS_PER_JOB]
+            for i in range(0, len(seed_list), SEEDS_PER_JOB)
         ]
         jobs = [
             Job(

@@ -26,8 +26,8 @@ from repro.fuzz.generator import (
 from repro.fuzz.oracle import (
     CaseResult,
     OracleFailure,
-    check_batch_parity,
     check_refinement,
+    check_reuse_parity,
     check_roundtrip,
     check_walker_parity,
     run_all_oracles,
@@ -51,8 +51,8 @@ __all__ = [
     "generate_pipeline_case",
     "CaseResult",
     "OracleFailure",
-    "check_batch_parity",
     "check_refinement",
+    "check_reuse_parity",
     "check_roundtrip",
     "check_walker_parity",
     "run_all_oracles",

@@ -16,12 +16,12 @@ Three independent oracles judge every generated case:
    partition and :func:`repro.sim.equivalence.check_equivalence` must
    find the refined design observationally equal to the original on
    every input vector.
-4. **Batch parity** (opt-in, ``repro fuzz --batch``) — advancing all
-   of a case's input vectors as lanes of one
-   :class:`repro.sim.batch.BatchSimulator` must be indistinguishable,
-   lane for lane, from the same vectors run through independent
-   single-lane compiled simulations — same outputs, traces, globals,
-   completion, or the *same* error text.
+4. **Reuse parity** (:func:`check_reuse_parity`; run by the tier-1
+   tests, not by :func:`run_all_oracles`) — running a case's input
+   vectors in order on one reused :class:`Simulator` must be
+   indistinguishable, vector for vector, from a fresh simulator per
+   vector — same outputs, traces, globals, completion, steps and time,
+   or the *same* error text.
 
 Failures carry enough context (oracle name, detail, printed spec,
 inputs, model) to be reported, shrunk, and persisted to the regression
@@ -49,7 +49,7 @@ __all__ = [
     "CaseResult",
     "check_roundtrip",
     "check_walker_parity",
-    "check_batch_parity",
+    "check_reuse_parity",
     "check_refinement",
     "run_all_oracles",
 ]
@@ -63,7 +63,7 @@ DEFAULT_MAX_STEPS = 200_000
 class OracleFailure:
     """One oracle verdict against one case."""
 
-    oracle: str  # "roundtrip" | "parity" | "refine:<model>"
+    oracle: str  # "roundtrip" | "parity" | "reuse" | "refine:<model>"
     detail: str
     spec_text: str = ""
     inputs: Optional[Dict[str, int]] = None
@@ -150,15 +150,19 @@ class _Outcome:
         return out
 
 
+def _simulate(simulator: Simulator, inputs: Dict[str, int], max_steps: int):
+    """``(result, None)`` for a run that returns, ``(None, error)`` for
+    one that raises."""
+    try:
+        return simulator.run(inputs=dict(inputs), max_steps=max_steps), None
+    except ReproError as exc:
+        return None, exc
+
+
 def _run(spec: Specification, inputs: Dict[str, int], compile_cache: bool,
          max_steps: int) -> _Outcome:
-    try:
-        result = Simulator(spec, compile_cache=compile_cache).run(
-            inputs=inputs, max_steps=max_steps
-        )
-    except ReproError as exc:
-        return _Outcome(spec, None, exc)
-    return _Outcome(spec, result, None)
+    simulator = Simulator(spec, compile_cache=compile_cache)
+    return _Outcome(spec, *_simulate(simulator, inputs, max_steps))
 
 
 # -- oracles -----------------------------------------------------------------
@@ -222,49 +226,54 @@ def check_walker_parity(
     return failures
 
 
-def check_batch_parity(
+def check_reuse_parity(
     spec: Specification,
     input_vectors: Sequence[Dict[str, int]],
     max_steps: int = DEFAULT_MAX_STEPS,
-    lanes: int = 8,
 ) -> List[OracleFailure]:
-    """Batched multi-lane execution must be indistinguishable, lane
-    for lane, from independent single-lane compiled runs.
+    """Re-running one :class:`Simulator` must be indistinguishable,
+    vector for vector, from a fresh simulator per vector.
 
-    Vectors are grouped ``lanes`` at a time into one
-    :class:`repro.sim.batch.BatchSimulator` batch; every lane's
-    outcome (outputs, traces, globals, completion — or error text) is
-    diffed against the single-lane run of the same vector.
+    The vectors run in order on one reused simulator, and every result
+    is inspected only after the last run, so per-run state a later run
+    clobbers shows up.  Each vector then runs on a fresh simulator.
+    The two must agree on completion, outputs, per-output traces,
+    globals, the whole trace change stream, steps and final time — or
+    fail with the same ``"Type: message"`` error text.
     """
-    from repro.sim.batch import BatchSimulator
-    from repro.sim.kernel import KernelLimits
-
+    reused = Simulator(spec)
+    runs = [_simulate(reused, inputs, max_steps) for inputs in input_vectors]
     failures: List[OracleFailure] = []
     text = None
-    vectors = [dict(v) for v in input_vectors]
-    limits = KernelLimits(max_steps=max_steps)
-    for start in range(0, len(vectors), max(lanes, 1)):
-        chunk = vectors[start : start + max(lanes, 1)]
-        batch = BatchSimulator(spec).run_batch(chunk, limits=limits)
-        for inputs, lane in zip(chunk, batch):
-            batched = _Outcome(
-                spec,
-                lane.result if lane.ok else None,
-                lane.error,
-            )
-            single = _run(spec, inputs, True, max_steps)
-            for delta in batched.diff(single):
-                if text is None:
-                    text = print_specification(spec)
-                failures.append(
-                    OracleFailure(
-                        "batch",
-                        f"batched vs single-lane: {delta}",
-                        spec_text=text,
-                        inputs=dict(inputs),
-                    )
+    for inputs, (result, error) in zip(input_vectors, runs):
+        fresh, fresh_error = _simulate(Simulator(spec), inputs, max_steps)
+        deltas = _Outcome(spec, result, error).diff(
+            _Outcome(spec, fresh, fresh_error)
+        )
+        if result is not None and fresh is not None:
+            for label, mine, theirs in (
+                ("steps", result.steps, fresh.steps),
+                ("time", result.time, fresh.time),
+                ("trace stream", _stream(result), _stream(fresh)),
+            ):
+                if mine != theirs:
+                    deltas.append(f"{label}: {mine!r} vs {theirs!r}")
+        for delta in deltas:
+            if text is None:
+                text = print_specification(spec)
+            failures.append(
+                OracleFailure(
+                    "reuse",
+                    f"reused vs fresh simulator: {delta}",
+                    spec_text=text,
+                    inputs=dict(inputs),
                 )
+            )
     return failures
+
+
+def _stream(result: SimulationResult) -> List[tuple]:
+    return [(e.step, e.variable, e.value) for e in result.trace]
 
 
 def check_refinement(
@@ -332,21 +341,14 @@ def run_all_oracles(
     input_vectors: Sequence[Dict[str, int]],
     models: Sequence[ImplementationModel] = ALL_MODELS,
     max_steps: int = DEFAULT_MAX_STEPS,
-    batch_lanes: Optional[int] = None,
 ) -> CaseResult:
     """Judge one :class:`repro.fuzz.generator.GeneratedCase` with every
-    applicable oracle.  ``batch_lanes`` (``repro fuzz --batch``) adds
-    the batch-parity oracle with that many lanes per batch."""
+    applicable oracle."""
     result = CaseResult(seed=case.seed)
     result.failures += check_roundtrip(case.spec)
     result.checks += 1
     result.failures += check_walker_parity(case.spec, input_vectors, max_steps)
     result.checks += len(input_vectors)
-    if batch_lanes:
-        result.failures += check_batch_parity(
-            case.spec, input_vectors, max_steps, lanes=batch_lanes
-        )
-        result.checks += len(input_vectors)
     if case.refinable:
         result.failures += check_refinement(
             case.spec, case.partition, input_vectors, models, max_steps

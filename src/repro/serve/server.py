@@ -129,6 +129,10 @@ ERROR_STATUS: Dict[str, int] = {
 #: to reconstruct after the fact.
 FLIGHT_DUMP_KINDS = frozenset({"crash", "deadline", "circuit-open"})
 
+#: Most stimulus vectors one ``simulate-cell`` submission may carry in
+#: its ``stimuli`` list (they run back to back in one job).
+MAX_STIMULI = 8
+
 _REQUEST_ID_RE = re.compile(r"[A-Za-z0-9._:-]{1,64}$")
 
 
@@ -168,11 +172,6 @@ class ServeConfig:
     drain_grace: float = 30.0
     #: per-slot SpanTracers + the /v1/trace endpoint
     trace: bool = False
-    #: accept batched ``simulate-cell`` jobs (a ``stimuli`` list of up
-    #: to ``lanes`` vectors advancing as one multi-lane simulation)
-    batch: bool = False
-    #: max lanes a batched ``simulate-cell`` submission may request
-    lanes: int = 8
     #: register the chaos tasks (sleep/crash/spin) — testing only
     chaos: bool = False
     #: access-log lines on stderr
@@ -611,24 +610,23 @@ class ReproServer:
             )
         stimuli = params.get("stimuli")
         if stimuli is not None:
-            if not self.config.batch:
+            # a malformed vector list could only fail in the worker;
+            # reject it here instead of burning a slot on it
+            if (
+                not isinstance(stimuli, list)
+                or not stimuli
+                or not all(isinstance(v, dict) for v in stimuli)
+            ):
                 return self._error(
                     "bad-request",
-                    'batched submissions ("stimuli") need a daemon '
-                    "started with --batch",
+                    '"stimuli" must be a non-empty list of objects',
                     request_id=rid,
                 )
-            if not isinstance(stimuli, list) or not stimuli:
-                return self._error(
-                    "bad-request", '"stimuli" must be a non-empty list',
-                    request_id=rid,
-                )
-            if len(stimuli) > self.config.lanes:
+            if len(stimuli) > MAX_STIMULI:
                 return self._error(
                     "bad-request",
-                    f'"stimuli" carries {len(stimuli)} vectors; this '
-                    f"daemon allows at most {self.config.lanes} lanes "
-                    "(--lanes)",
+                    f'"stimuli" carries {len(stimuli)} vectors; at most '
+                    f"{MAX_STIMULI} are allowed",
                     request_id=rid,
                 )
         workload = params.get("workload")
@@ -787,7 +785,7 @@ class ReproServer:
                 "X-Repro-Seconds": f"{result.seconds:.6f}",
             }
             # audit trail: which kernel variant computed this payload
-            # (walker / compiled / batched) — present on simulation
+            # ("compiled") — present on simulation
             # tasks, absent on purely structural ones
             if isinstance(result.payload, dict) and "kernel" in result.payload:
                 headers["X-Repro-Kernel"] = str(result.payload["kernel"])

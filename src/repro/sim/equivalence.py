@@ -21,7 +21,7 @@ finished; the endless server behaviors (memories, arbiters, interfaces,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import EquivalenceError
 from repro.refine.refiner import RefinedDesign
@@ -31,7 +31,6 @@ __all__ = [
     "Mismatch",
     "EquivalenceReport",
     "check_equivalence",
-    "check_equivalence_batch",
     "compare_runs",
 ]
 
@@ -131,8 +130,9 @@ def compare_runs(
     refined_run: SimulationResult,
 ) -> EquivalenceReport:
     """Build the :class:`EquivalenceReport` for one original/refined
-    run pair — the comparison half of :func:`check_equivalence`,
-    shared with the batched checker."""
+    run pair — the comparison half of :func:`check_equivalence`, for
+    callers that run the simulators themselves (e.g. one reused
+    :class:`Simulator` pair over many stimuli)."""
     report = EquivalenceReport(design, inputs, original_run, refined_run)
 
     if original_run.completed != refined_run.completed:
@@ -168,49 +168,3 @@ def compare_runs(
                 Mismatch("memory-value", variable, original_value, refined_value)
             )
     return report
-
-
-def check_equivalence_batch(
-    design: RefinedDesign,
-    input_vectors: Sequence[Optional[Dict[str, object]]],
-    max_steps: Optional[int] = None,
-    limits=None,
-    require_completion: bool = False,
-    quantum: Optional[int] = None,
-) -> List[EquivalenceReport]:
-    """Co-simulate many input vectors of one design, batched.
-
-    The batched analogue of calling :func:`check_equivalence` once per
-    vector: the original and the refined specification each run as one
-    multi-lane batch (compiled once, every vector a lane), and each
-    lane pair is compared with the identical :func:`compare_runs`
-    logic — reports are byte-for-byte what the serial calls produce.
-    A faulted lane re-raises its (replayed, single-lane-exact) error,
-    matching the serial path's propagation.  Fault injection is not
-    supported here; use :func:`check_equivalence`.
-    """
-    from repro.sim.batch import DEFAULT_QUANTUM, BatchSimulator
-
-    vectors = [dict(v or {}) for v in input_vectors]
-    quantum = DEFAULT_QUANTUM if quantum is None else quantum
-    original_batch = BatchSimulator(design.original).run_batch(
-        vectors, max_steps=max_steps, limits=limits, quantum=quantum
-    )
-    refined_batch = BatchSimulator(design.spec).run_batch(
-        vectors,
-        max_steps=max_steps,
-        limits=limits,
-        require_completion=require_completion,
-        quantum=quantum,
-    )
-    original_batch.raise_first_error()
-    refined_batch.raise_first_error()
-    return [
-        compare_runs(
-            design,
-            vectors[i],
-            original_batch[i].result,
-            refined_batch[i].result,
-        )
-        for i in range(len(vectors))
-    ]

@@ -38,15 +38,6 @@ class TestDocsConsistency:
         missing = checker.undocumented_names(broken)
         assert ("repro.sim", "SimMetrics") in missing
 
-    def test_batch_exports_are_gated(self):
-        # the repro.sim __all__ carries the batch engine names, so the
-        # gate breaks if docs/API.md ever drops them
-        checker = load_checker()
-        doc_text = (REPO_ROOT / "docs" / "API.md").read_text(encoding="utf-8")
-        broken = doc_text.replace("BatchSimulator", "XatchXimulator")
-        missing = checker.undocumented_names(broken)
-        assert ("repro.sim", "BatchSimulator") in missing
-
     def test_every_doc_is_linked_from_readme(self):
         checker = load_checker()
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -204,6 +204,53 @@ class TestTraceEndpoint:
             server.close()
 
 
+class TestStimuli:
+    """``simulate-cell`` with a ``stimuli`` list: admission rejects a
+    malformed list before it can occupy a worker slot; a valid one
+    returns one entry per vector."""
+
+    def _submit(self, server, stimuli):
+        return _client(server).submit(
+            "simulate-cell", {"workload": "medical", "stimuli": stimuli}
+        )
+
+    def test_non_object_entry_rejected(self, server):
+        response = self._submit(server, [5])
+        assert response.status == 400
+        assert response.error_kind() == "bad-request"
+        assert server.stats()["exec"]["jobs"] == 0
+
+    def test_empty_list_rejected(self, server):
+        response = self._submit(server, [])
+        assert response.status == 400
+        assert response.error_kind() == "bad-request"
+
+    def test_too_many_vectors_rejected(self, server):
+        response = self._submit(server, [{}] * 9)
+        assert response.status == 400
+        assert response.error_kind() == "bad-request"
+        assert "at most 8" in response.body["error"]["message"]
+
+    def test_each_vector_matches_its_single_submission(self, server):
+        from repro.apps.workloads import default_registry
+
+        vectors = default_registry().get("medical").input_vectors(0, count=3)
+        response = self._submit(server, vectors)
+        assert response.status == 200
+        assert response.headers["x-repro-kernel"] == "compiled"
+        lanes = response.body["payload"]["lanes"]
+        assert len(lanes) == 3
+        for inputs, lane in zip(vectors, lanes):
+            single = _client(server).submit(
+                "simulate-cell", {"workload": "medical", "inputs": inputs}
+            )
+            assert single.ok
+            assert lane == {
+                key: single.body["payload"][key]
+                for key in ("completed", "steps", "outputs")
+            }
+
+
 # -- determinism / byte identity ----------------------------------------------
 
 

@@ -5,8 +5,8 @@ generated stimuli instead of the single default vector:
 
 * the default design refines to an *equivalent* implementation under
   every one of the four implementation models;
-* the batched multi-lane kernel is indistinguishable, lane for lane,
-  from serial single-lane simulation of the same vectors.
+* one simulator re-run over several vectors is indistinguishable,
+  vector for vector, from a fresh simulator per vector.
 
 Refined designs are cached per (workload, model) at module level —
 refinement is deterministic and read-only under co-simulation, so one
@@ -16,7 +16,7 @@ build serves every Hypothesis example.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fuzz import check_batch_parity
+from repro.fuzz import check_reuse_parity
 from repro.models import ALL_MODELS
 from repro.refine import Refiner
 from repro.sim.equivalence import check_equivalence
@@ -62,9 +62,9 @@ class TestRegistryProperties:
 
     @settings(max_examples=4, **_COMMON)
     @given(seed=st.integers(0, 2**16))
-    def test_batch_kernel_matches_single_lane(self, workload, seed):
-        """One multi-lane batch of generated vectors produces exactly
-        the single-lane outcomes, lane for lane."""
+    def test_reused_simulator_matches_fresh(self, workload, seed):
+        """One simulator re-run over generated vectors produces exactly
+        the outcomes of a fresh simulator per vector."""
         vectors = workload.input_vectors(seed, count=4)
-        failures = check_batch_parity(_spec(workload), vectors)
+        failures = check_reuse_parity(_spec(workload), vectors)
         assert failures == [], "\n".join(f.detail for f in failures)
