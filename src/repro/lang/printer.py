@@ -469,10 +469,10 @@ def _collect_enums(spec: Specification) -> List[EnumType]:
     seen: dict = {}
 
     def visit(dtype: DataType) -> None:
+        while isinstance(dtype, ArrayType):
+            dtype = dtype.element
         if isinstance(dtype, EnumType) and dtype.name not in seen:
             seen[dtype.name] = dtype
-        elif isinstance(dtype, ArrayType):
-            visit(dtype.element)
 
     for _, var in spec.all_declared_variables():
         visit(var.dtype)

@@ -37,7 +37,11 @@ The interpreter has two paths over the same IR:
   Statement subtrees that cannot suspend (no ``wait``, no subprogram
   call) and carry no instrumentation collapse into plain function
   calls — no generator frame per statement; wait conditions get their
-  sensitivity sets and labels precomputed at compile time.
+  sensitivity sets and labels precomputed at compile time, and a
+  ``wait until`` on signals alone is built once per run and shared.
+  Closures reach the current run through a run-state object, never
+  through the simulator, so neither a run nor a dropped simulator
+  leaves a reference cycle.
 * the **reference tree walker** (``compile_cache=False``): the
   historical re-dispatching interpreter, kept as the semantic oracle —
   the equivalence suite runs both paths and compares traces.
@@ -49,6 +53,8 @@ closure cache then saves dispatch, not instrumentation.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -209,6 +215,93 @@ class SimulationResult:
         return [p.name for p in self.kernel.blocked_processes() if not p.finished]
 
 
+class _RunState:
+    """The state of the current run, as compiled closures see it.
+
+    Compiled closures outlive runs (they are cached for the life of the
+    :class:`Simulator`), so they read everything a run owns through
+    this object and never through the simulator.  It refers neither to
+    the simulator nor to its caches: a closure that captures it closes
+    no reference cycle, and :meth:`release` drops the kernel at the end
+    of a run so the suspended server processes cannot keep it alive
+    through the simulator either.
+    """
+
+    __slots__ = (
+        "output_names",
+        "kernel",
+        "frames",
+        "trace",
+        "trace_step",
+        "signal_types",
+        "current_behavior",
+        "waits",
+        "signal_env",
+    )
+
+    def __init__(self, output_names: frozenset):
+        self.output_names = output_names
+        self.kernel: Optional[Kernel] = None
+        self.frames: Dict[str, Frame] = {}
+        self.trace: List[TraceEvent] = []
+        self.trace_step = 0
+        self.signal_types: Dict[str, object] = {}
+        #: behavior charged for probe reads/writes and statements
+        self.current_behavior = ""
+        #: (wait node id, frame-owner chain) -> the run's shared request
+        #: for a ``wait until`` whose free names are all signals
+        self.waits: Dict[tuple, WaitCondition] = {}
+        #: an env with no frames: every name resolves to a kernel signal
+        self.signal_env: Optional[Env] = None
+
+    def begin(self, kernel: Kernel) -> None:
+        """Start a run on ``kernel`` with fresh frames and trace (an
+        earlier run's :class:`SimulationResult` keeps its own)."""
+        self.kernel = kernel
+        self.frames = {}
+        self.trace = []
+        self.trace_step = 0
+        self.signal_types = {}
+        self.current_behavior = ""
+        self.waits = {}
+        self.signal_env = Env(kernel, ())
+
+    def release(self) -> None:
+        """Drop what only the finished run needed."""
+        self.kernel = None
+        self.signal_env = None
+        self.waits = {}
+
+    def observe_write(self, name: str, env: Env) -> None:
+        """Record a write of output ``name`` in the trace."""
+        self.trace_step += 1
+        self.trace.append(TraceEvent(self.trace_step, name, env.peek(name)))
+
+    def assign(self, target: Expr, value, env: Env) -> None:
+        """Store ``value`` into an assignment target (index expressions
+        go through the reference walker)."""
+        if isinstance(target, VarRef):
+            name = target.name
+            env.write(name, value)
+        elif isinstance(target, Index) and isinstance(target.base, VarRef):
+            name = target.base.name
+            env.write_array_element(
+                name, evaluate(target.index_expr, env), value
+            )
+        else:
+            raise SimulationError(f"invalid assignment target {target}")
+        if name in self.output_names:
+            self.observe_write(name, env)
+
+
+#: Compiled-statement kinds: a *plain* closure runs to completion and
+#: returns None; a *wait* closure returns the kernel request to yield;
+#: a *suspending* closure is a generator function yielding requests.
+_PLAIN, _WAIT, _SUSPENDS = range(3)
+
+_owner_of = operator.attrgetter("owner")
+
+
 class Simulator:
     """Executes a specification.
 
@@ -244,13 +337,8 @@ class Simulator:
         self.probe = probe
         self.time_unit = time_unit
         self.compile_cache = compile_cache
-        self._kernel: Optional[Kernel] = None
-        self._frames: Dict[str, Frame] = {}
-        self._trace: List[TraceEvent] = []
-        self._output_names = {v.name for v in spec.outputs()}
-        self._signal_types: Dict[str, object] = {}
-        self._trace_step = 0
-        self._current_behavior = ""
+        #: what the current run owns; compiled closures read it
+        self._state = _RunState(frozenset(v.name for v in spec.outputs()))
         #: True when every statement must charge time / fire the probe
         self._instrumented = cost_fn is not None or probe is not None
         #: expression compiler (shared by both instrumentation modes)
@@ -297,69 +385,80 @@ class Simulator:
         A simulator may be run any number of times: every run starts
         from a fresh kernel, frames and trace, and only the compiled
         closures carry over — re-running one instance over many
-        stimuli pays compilation once.
+        stimuli pays compilation once.  When a run ends, normally or
+        not, its kernel is closed (:meth:`Kernel.close`: the generators
+        of still-suspended processes, the endless server behaviors, are
+        closed) and the run state lets go of it: neither the run nor
+        the returned result holds a reference cycle.
         """
         kernel = Kernel(
             injector=injector, metrics=metrics, tracer=tracer,
             observer=observer,
         )
-        self._kernel = kernel
-        self._frames = {}
-        self._trace = []
-        self._trace_step = 0
-        self._signal_types = {}
-        self._current_behavior = ""
-
-        global_frame = Frame("")
-        self._frames[""] = global_frame
-        inputs = dict(inputs or {})
-        for decl in self.spec.variables:
-            if decl.kind is StorageClass.SIGNAL:
-                kernel.register_signal(decl.name, decl.initial_value)
-                self._signal_types[decl.name] = decl.dtype
-            else:
-                global_frame.declare(decl)
-                if decl.name in inputs:
-                    if decl.role is not Role.INPUT:
-                        raise SimulationError(
-                            f"{decl.name!r} is not an input variable"
-                        )
-                    global_frame.write(decl.name, inputs.pop(decl.name))
-        if inputs:
-            raise SimulationError(f"unknown inputs: {sorted(inputs)}")
-
-        # behavior-declared signals are registered once here: a behavior
-        # re-entered through a transition re-initialises its *variables*
-        # but signals persist (they synchronise across processes)
-        for behavior in self.spec.behaviors():
-            for decl in behavior.decls:
+        state = self._state
+        state.begin(kernel)
+        try:
+            global_frame = Frame("")
+            state.frames[""] = global_frame
+            inputs = dict(inputs or {})
+            for decl in self.spec.variables:
                 if decl.kind is StorageClass.SIGNAL:
                     kernel.register_signal(decl.name, decl.initial_value)
-                    self._signal_types[decl.name] = decl.dtype
+                    state.signal_types[decl.name] = decl.dtype
+                else:
+                    global_frame.declare(decl)
+                    if decl.name in inputs:
+                        if decl.role is not Role.INPUT:
+                            raise SimulationError(
+                                f"{decl.name!r} is not an input variable"
+                            )
+                        global_frame.write(
+                            decl.name, inputs.pop(decl.name)
+                        )
+            if inputs:
+                raise SimulationError(f"unknown inputs: {sorted(inputs)}")
 
-        on_read = self._on_env_read if self.probe is not None else None
-        on_write = self._on_env_write if self.probe is not None else None
-        root_env = Env(kernel, (global_frame,), on_read=on_read, on_write=on_write)
-        root = kernel.spawn(
-            self.spec.top.name,
-            self._run_behavior(self.spec.top, root_env),
-        )
-        kernel.run(
-            max_steps=max_steps,
-            limits=limits,
-            required=(root,) if require_completion else (),
-        )
-        return SimulationResult(
-            self.spec, kernel, self._frames, self._trace, root.finished
-        )
+            # behavior-declared signals are registered once here: a
+            # behavior re-entered through a transition re-initialises its
+            # *variables* but signals persist (they synchronise across
+            # processes)
+            for behavior in self.spec.behaviors():
+                for decl in behavior.decls:
+                    if decl.kind is StorageClass.SIGNAL:
+                        kernel.register_signal(
+                            decl.name, decl.initial_value
+                        )
+                        state.signal_types[decl.name] = decl.dtype
+
+            on_read = on_write = None
+            if self.probe is not None:
+                on_read, on_write = self._on_env_read, self._on_env_write
+            root_env = Env(
+                kernel, (global_frame,), on_read=on_read, on_write=on_write
+            )
+            root = kernel.spawn(
+                self.spec.top.name,
+                self._run_behavior(self.spec.top, root_env),
+            )
+            kernel.run(
+                max_steps=max_steps,
+                limits=limits,
+                required=(root,) if require_completion else (),
+            )
+            return SimulationResult(
+                self.spec, kernel, state.frames, state.trace, root.finished
+            )
+        finally:
+            kernel.close()
+            state.release()
 
     # -- profiling hooks ---------------------------------------------------------
 
     def _on_env_read(self, name: str) -> None:
-        self.probe.on_read(self._current_behavior, name)
+        self.probe.on_read(self._state.current_behavior, name)
 
     def _on_env_write(self, name: str) -> None:
-        self.probe.on_write(self._current_behavior, name)
+        self.probe.on_write(self._state.current_behavior, name)
 
     # -- behaviors ---------------------------------------------------------------
 
@@ -368,11 +467,11 @@ class Simulator:
         for decl in behavior.decls:
             if decl.kind is not StorageClass.SIGNAL:
                 frame.declare(decl)
-        self._frames[behavior.name] = frame
+        self._state.frames[behavior.name] = frame
         return frame
 
     def _run_behavior(self, behavior: Behavior, env: Env) -> Iterator:
-        kernel = self._kernel
+        kernel = self._state.kernel
         frame = self._behavior_frame(behavior)
         inner = env.child(frame)
         if self.probe is not None:
@@ -409,7 +508,7 @@ class Simulator:
             chosen = None
             # condition reads belong to the composite whose sequencer
             # evaluates them (matches the access graph's attribution)
-            self._current_behavior = behavior.name
+            self._state.current_behavior = behavior.name
             for arc in arcs:
                 if arc.condition is None or truthy(
                     self._eval(arc.condition, env)
@@ -421,7 +520,7 @@ class Simulator:
             current = chosen.target
 
     def _run_concurrent(self, behavior: CompositeBehavior, env: Env) -> Iterator:
-        kernel = self._kernel
+        kernel = self._state.kernel
         waited: List[Process] = []
         for child in behavior.subs:
             process = kernel.spawn(child.name, self._run_behavior(child, env))
@@ -452,11 +551,11 @@ class Simulator:
             yield WaitDelay(cost)
 
     def _exec_stmt(self, stmt: Stmt, behavior: str, env: Env) -> Iterator:
-        self._current_behavior = behavior
+        self._state.current_behavior = behavior
         yield from self._charge(stmt, behavior)
 
         if isinstance(stmt, Assign):
-            self._do_assign(stmt.target, evaluate(stmt.value, env), behavior, env)
+            self._state.assign(stmt.target, evaluate(stmt.value, env), env)
         elif isinstance(stmt, SignalAssign):
             self._do_signal_assign(stmt.target, evaluate(stmt.value, env), env)
         elif isinstance(stmt, If):
@@ -489,34 +588,16 @@ class Simulator:
         else:
             raise SimulationError(f"unknown statement {stmt!r}")
 
-    def _do_assign(self, target: Expr, value, behavior: str, env: Env) -> None:
-        if isinstance(target, VarRef):
-            env.write(target.name, value)
-            self._observe_write(target.name, env)
-        elif isinstance(target, Index) and isinstance(target.base, VarRef):
-            index = evaluate(target.index_expr, env)
-            env.write_array_element(target.base.name, index, value)
-            self._observe_write(target.base.name, env)
-        else:
-            raise SimulationError(f"invalid assignment target {target}")
-
     def _do_signal_assign(self, target: Expr, value, env: Env) -> None:
         if not isinstance(target, VarRef):
             raise SimulationError(
                 f"signal assignment target must be a signal name, got {target}"
             )
-        dtype = self._signal_types.get(target.name)
+        dtype = self._state.signal_types.get(target.name)
         env.write_signal(target.name, value, dtype)
 
-    def _observe_write(self, name: str, env: Env) -> None:
-        if name in self._output_names:
-            self._trace_step += 1
-            self._trace.append(
-                TraceEvent(self._trace_step, name, env.peek(name))
-            )
-
     def _make_wait(self, stmt: Wait, env: Env):
-        kernel = self._kernel
+        kernel = env.kernel
         if stmt.delay is not None:
             return WaitDelay(stmt.delay * self.time_unit)
         if stmt.until is not None:
@@ -565,9 +646,9 @@ class Simulator:
             frame.declare(decl)
         # subprogram bodies see globals + their own frame, not the caller's
         # locals (mirrors the validator's scope rule)
-        global_frame = self._frames[""]
+        global_frame = self._state.frames[""]
         call_env = Env(
-            self._kernel,
+            env.kernel,
             (frame, global_frame),
             on_read=env.on_read,
             on_write=env.on_write,
@@ -576,45 +657,60 @@ class Simulator:
         # copy-out
         for param, arg in zip(callee.params, stmt.args):
             if param.direction in (Direction.OUT, Direction.INOUT):
-                self._do_assign(arg, frame.read(param.name), behavior, env)
+                self._state.assign(arg, frame.read(param.name), env)
 
     # -- the compiled fast path --------------------------------------------------
     #
-    # Each statement compiles once into either a *plain* closure
-    # ``fn(behavior, env) -> None`` (statement subtree cannot suspend:
-    # no Wait, no CallStmt, no instrumentation) or a *generator* closure
-    # ``fn(behavior, env) -> Iterator`` yielding kernel requests.  Plain
-    # spans execute without a generator frame per statement — the bulk
-    # of the interpreter's historical dispatch cost.  Caches are keyed
-    # by node identity and keep a strong reference to the node, so ids
-    # cannot be recycled while the simulator lives.
+    # Each statement compiles once into one of three closure kinds, all
+    # called as ``fn(behavior, env)``: a *plain* closure returns None
+    # (the subtree cannot suspend: no Wait, no CallStmt, no
+    # instrumentation), a *wait* closure returns the kernel request the
+    # wait suspends on, and a *suspending* closure is a generator
+    # yielding kernel requests.  Plain spans execute without a
+    # generator frame per statement — the bulk of the interpreter's
+    # historical dispatch cost — and a body yields a wait's request
+    # itself.  A compiled *body* is plain or a generator.  Caches are
+    # keyed by node identity and keep a strong reference to the node,
+    # so ids cannot be recycled while the simulator lives.  Closures
+    # reach the current run only through ``self._state`` (never
+    # ``self``), so the caches form no reference cycle with the
+    # simulator.
 
-    def _compiled_stmt(self, stmt: Stmt) -> Tuple[bool, Callable]:
+    def _compiled_stmt(self, stmt: Stmt) -> Tuple[int, Callable]:
         key = id(stmt)
         hit = self._stmt_cache.get(key)
         if hit is not None and hit[0] is stmt:
             return hit[1], hit[2]
-        plain, fn = self._build_stmt(stmt)
+        if isinstance(stmt, Wait):
+            kind, fn = _WAIT, self._build_wait(stmt)
+        else:
+            plain, fn = self._build_stmt(stmt)
+            kind = _PLAIN if plain else _SUSPENDS
         if self._instrumented:
-            plain, fn = False, self._instrument(stmt, plain, fn)
-        self._stmt_cache[key] = (stmt, plain, fn)
-        return plain, fn
+            kind, fn = _SUSPENDS, self._instrument(stmt, kind, fn)
+        self._stmt_cache[key] = (stmt, kind, fn)
+        return kind, fn
 
-    def _instrument(self, stmt: Stmt, plain: bool, fn: Callable) -> Callable:
+    def _instrument(self, stmt: Stmt, kind: int, fn: Callable) -> Callable:
         """Wrap a compiled statement so each execution charges time and
         fires the probe (mirrors the reference path's ``_charge``)."""
+        state = self._state
+        cost_fn = self.cost_fn
+        probe = self.probe
 
         def run(behavior: str, env: Env) -> Iterator:
-            self._current_behavior = behavior
+            state.current_behavior = behavior
             cost = 0.0
-            if self.cost_fn is not None:
-                cost = self.cost_fn(behavior, stmt)
-            if self.probe is not None:
-                self.probe.on_statement(behavior, stmt, cost)
+            if cost_fn is not None:
+                cost = cost_fn(behavior, stmt)
+            if probe is not None:
+                probe.on_statement(behavior, stmt, cost)
             if cost > 0:
                 yield WaitDelay(cost)
-            if plain:
+            if kind == _PLAIN:
                 fn(behavior, env)
+            elif kind == _WAIT:
+                yield fn(behavior, env)
             else:
                 yield from fn(behavior, env)
 
@@ -626,29 +722,27 @@ class Simulator:
         if hit is not None and hit[0] is body:
             return hit[1], hit[2]
         steps = tuple(self._compiled_stmt(stmt) for stmt in body)
-        if len(steps) == 1:
+        if len(steps) == 1 and steps[0][0] != _WAIT:
             # single-statement body: reuse its closure directly (saves
             # one generator frame per execution on the non-plain path)
-            plain, fn = steps[0]
-            self._body_cache[key] = (body, plain, fn)
-            return plain, fn
-        if all(plain for plain, _ in steps):
-            if len(steps) == 1:
-                plain, fn = True, steps[0][1]
-            else:
-                fns = tuple(fn for _, fn in steps)
+            kind, fn = steps[0]
+            plain = kind == _PLAIN
+        elif all(kind == _PLAIN for kind, _ in steps):
+            fns = tuple(fn for _, fn in steps)
 
-                def run_plain(behavior: str, env: Env) -> None:
-                    for step in fns:
-                        step(behavior, env)
+            def run_plain(behavior: str, env: Env) -> None:
+                for step in fns:
+                    step(behavior, env)
 
-                plain, fn = True, run_plain
+            plain, fn = True, run_plain
         else:
 
             def run_gen(behavior: str, env: Env) -> Iterator:
-                for step_plain, step in steps:
-                    if step_plain:
+                for kind, step in steps:
+                    if kind == _PLAIN:
                         step(behavior, env)
+                    elif kind == _WAIT:
+                        yield step(behavior, env)
                     else:
                         yield from step(behavior, env)
 
@@ -674,8 +768,6 @@ class Simulator:
             return self._build_while(stmt)
         if isinstance(stmt, For):
             return self._build_for(stmt)
-        if isinstance(stmt, Wait):
-            return False, self._build_wait(stmt)
         if isinstance(stmt, CallStmt):
             return self._build_call(stmt)
         if isinstance(stmt, Null):
@@ -685,13 +777,14 @@ class Simulator:
     def _build_assign(self, stmt: Assign) -> Tuple[bool, Callable]:
         target = stmt.target
         value_fn = self._expr.compile(stmt.value)
+        observe = self._state.observe_write
         if isinstance(target, VarRef):
             name = target.name
-            if name in self._output_names:
+            if name in self._state.output_names:
 
                 def run(behavior: str, env: Env) -> None:
                     env.write(name, value_fn(env))
-                    self._observe_write(name, env)
+                    observe(name, env)
 
             else:
 
@@ -702,12 +795,12 @@ class Simulator:
         if isinstance(target, Index) and isinstance(target.base, VarRef):
             base = target.base.name
             index_fn = self._expr.compile(target.index_expr)
-            if base in self._output_names:
+            if base in self._state.output_names:
 
                 def run(behavior: str, env: Env) -> None:
                     value = value_fn(env)
                     env.write_array_element(base, index_fn(env), value)
-                    self._observe_write(base, env)
+                    observe(base, env)
 
             else:
 
@@ -726,11 +819,11 @@ class Simulator:
             )
         name = target.name
         value_fn = self._expr.compile(stmt.value)
+        state = self._state
 
         def run(behavior: str, env: Env) -> None:
             value = value_fn(env)
-            # self._signal_types is rebuilt per run(); resolve late
-            dtype = self._signal_types.get(name)
+            dtype = state.signal_types.get(name)
             if dtype is not None:
                 value = dtype.coerce(value)
             env.kernel.write_signal(name, value)
@@ -848,70 +941,79 @@ class Simulator:
         return False, run_gen
 
     def _build_wait(self, stmt: Wait) -> Callable:
-        """Compile a wait: the request shape, the condition closure, the
-        sensitivity name set and the diagnostic label are all fixed at
-        compile time; only signal membership and snapshots are taken per
-        execution."""
+        """Compile a wait into a closure returning its kernel request:
+        the request shape, the condition closure, the sensitivity name
+        set and the diagnostic label are all fixed at compile time; only
+        signal membership and snapshots are taken per execution."""
         if stmt.delay is not None:
             request = WaitDelay(stmt.delay * self.time_unit)
-
-            def run_delay(behavior: str, env: Env) -> Iterator:
-                yield request
-
-            return run_delay
+            return lambda behavior, env: request
         if stmt.until is not None:
             cond = stmt.until
             cond_fn = self._expr.compile(cond)
-            cond_bool = _static_bool(cond)
-            names = tuple(free_variables(cond))
+            if _static_bool(cond):
+                test = cond_fn
+            else:
+                test = lambda env: truthy(cond_fn(env))  # noqa: E731
+            names = frozenset(free_variables(cond))
             label = f"until {cond}"
+            wait_id = id(stmt)
+            state = self._state
             # Which free names are signals depends only on the names
             # bound by each frame in the chain — static per frame
-            # *owner* — so the sensitivity set is memoised by the
-            # owner chain (stable across e.g. repeated subprogram
-            # calls, whose envs are fresh objects each time).  The
-            # whole WaitCondition (whose predicate closes over the
-            # env) is reused via the env's own resolution map: a
-            # long-lived behavior env hits forever, a churning call
-            # env rebuilds one request per call and then dies with it.
+            # *owner* — so the sensitivity set is memoised by the owner
+            # chain (stable across e.g. repeated subprogram calls, whose
+            # envs are fresh objects each time).  When every free name
+            # is a signal the condition never reads the env, so one
+            # request per (node, chain) serves the whole run, whichever
+            # process waits on it; the chain is part of the key because
+            # refinement shares nodes and a local of one scope may
+            # shadow a signal of the same name.  Any other wait builds
+            # its request per execution, and nothing is stored in the
+            # env: a request closing over its own env would make a
+            # reference cycle.
             sens_cache: Dict[tuple, frozenset] = {}
-            # "\x00" keeps the key out of the variable-name namespace
-            wait_key = f"\x00wait:{id(stmt)}"
 
-            def run_until(behavior: str, env: Env) -> Iterator:
-                request = env._resolve.get(wait_key)
-                if request is None:
-                    chain = tuple(frame.owner for frame in env.frames)
-                    sensitivity = sens_cache.get(chain)
-                    if sensitivity is None:
-                        sensitivity = frozenset(
-                            name for name in names if env.is_signal(name)
-                        )
-                        sens_cache[chain] = sensitivity
-                    if cond_bool:
-                        predicate = lambda: cond_fn(env)  # noqa: E731
-                    else:
-                        predicate = lambda: truthy(  # noqa: E731
-                            cond_fn(env)
-                        )
-                    request = WaitCondition(predicate, sensitivity, label=label)
-                    env._resolve[wait_key] = request
-                yield request
+            def request_until(behavior: str, env: Env) -> WaitCondition:
+                chain = tuple(map(_owner_of, env.frames))
+                key = (wait_id, chain)
+                request = state.waits.get(key)
+                if request is not None:
+                    return request
+                sensitivity = sens_cache.get(chain)
+                if sensitivity is None:
+                    sensitivity = sens_cache[chain] = frozenset(
+                        name for name in names if env.is_signal(name)
+                    )
+                if sensitivity == names:
+                    # reads the env through the run state, so a request
+                    # left suspended when the run ends refers to no
+                    # kernel
+                    request = WaitCondition(
+                        lambda: test(state.signal_env),
+                        sensitivity,
+                        label=label,
+                    )
+                    state.waits[key] = request
+                    return request
+                return WaitCondition(
+                    lambda: test(env), sensitivity, label=label
+                )
 
-            return run_until
+            return request_until
         # wait on s1, s2: edge-sensitive — wake on any change
         names = tuple(stmt.on)
         sensitivity = frozenset(names)
         label = "on " + ", ".join(names)
 
-        def run_on(behavior: str, env: Env) -> Iterator:
-            kernel = self._kernel
+        def request_on(behavior: str, env: Env) -> WaitCondition:
+            kernel = env.kernel
             snapshot = [(name, kernel.read_signal(name)) for name in names]
             # edge waits are satisfied by *any* change of a watched
             # signal: a waiter only becomes a wake candidate in the
             # delta cycle that changed one, and at that instant the
             # snapshot comparison is true by construction
-            yield WaitCondition(
+            return WaitCondition(
                 lambda: any(
                     kernel.read_signal(name) != old for name, old in snapshot
                 ),
@@ -919,7 +1021,7 @@ class Simulator:
                 label=label,
             )
 
-        return run_on
+        return request_on
 
     def _build_call(self, stmt: CallStmt) -> Tuple[bool, Callable]:
         callee = self.spec.subprograms.get(stmt.callee)
@@ -931,6 +1033,10 @@ class Simulator:
             return False, self._raising_gen(
                 f"{stmt.callee!r} expects {callee.arity} args, "
                 f"got {len(stmt.args)}"
+            )
+        if any(decl.kind is StorageClass.SIGNAL for decl in callee.decls):
+            return False, self._raising_gen(
+                f"subprogram {callee.name!r} declares a signal; unsupported"
             )
         arg_fns = tuple(self._expr.compile(arg) for arg in stmt.args)
         params = callee.params
@@ -950,26 +1056,25 @@ class Simulator:
             )
             for param, arg_fn in zip(params, arg_fns)
         )
-        signal_decl = any(
-            decl.kind is StorageClass.SIGNAL for decl in callee.decls
-        )
         decls = tuple(callee.decls)
         copy_out = tuple(
             (param.name, arg)
             for param, arg in zip(params, stmt.args)
             if param.direction in (Direction.OUT, Direction.INOUT)
         )
+        state = self._state
 
         # compile the callee body eagerly when not recursive, so a
         # wait-free subprogram collapses into a *plain* call (no
-        # generator frame); recursive callees compile lazily at first
-        # execution instead
+        # generator frame); a recursive call compiles lazily at first
+        # execution, reaching the simulator's body cache through a weak
+        # reference so the closure forms no cycle with the simulator
         body_plain = False
         body_fn: Optional[Callable] = None
-        if (
-            callee.name not in self._compiling_calls
-            and not signal_decl
-        ):
+        compiled_body = None
+        if callee.name in self._compiling_calls:
+            compiled_body = weakref.WeakMethod(self._compiled_body)
+        else:
             self._compiling_calls.add(callee.name)
             try:
                 body_plain, body_fn = self._compiled_body(callee.stmt_body)
@@ -989,8 +1094,8 @@ class Simulator:
             # subprogram bodies see globals + their own frame, not the
             # caller's locals (mirrors the validator's scope rule)
             call_env = Env(
-                self._kernel,
-                (frame, self._frames[""]),
+                env.kernel,
+                (frame, state.frames[""]),
                 on_read=env.on_read,
                 on_write=env.on_write,
             )
@@ -1002,23 +1107,16 @@ class Simulator:
                 frame, call_env = enter(env)
                 body_fn(behavior, call_env)
                 for name, arg in copy_out:
-                    self._do_assign(
-                        arg, frame.slots[name][1], behavior, env
-                    )
+                    state.assign(arg, frame.slots[name][1], env)
 
             return True, run_plain
 
         def run(behavior: str, env: Env) -> Iterator:
-            if signal_decl:
-                raise SimulationError(
-                    f"subprogram {callee.name!r} declares a signal; "
-                    f"unsupported"
-                )
             frame, call_env = enter(env)
             plain, fn = (
                 (body_plain, body_fn)
                 if body_fn is not None
-                else self._compiled_body(callee.stmt_body)
+                else compiled_body()(callee.stmt_body)
             )
             if plain:
                 fn(behavior, call_env)
@@ -1026,7 +1124,7 @@ class Simulator:
                 yield from fn(behavior, call_env)
             # copy-out
             for name, arg in copy_out:
-                self._do_assign(arg, frame.slots[name][1], behavior, env)
+                state.assign(arg, frame.slots[name][1], env)
 
         return False, run
 

@@ -97,6 +97,12 @@ DEFAULT_TRACE_DEPTH = 32
 #: sort key for deterministic (suspension-order) candidate wakeup
 _wait_seq_of = operator.attrgetter("_wait_seq")
 
+#: Kernel serial numbers.  A wait condition records which kernel its
+#: cached index buckets belong to by serial, not by reference: a
+#: condition still suspended when a run ends would otherwise tie itself
+#: and its kernel into a reference cycle.
+_kernel_serials = itertools.count(1)
+
 
 def _format_detail(detail) -> str:
     """Render a trace-record detail.
@@ -124,7 +130,7 @@ class WaitCondition:
         "sensitivity",
         "label",
         "_index_sets",
-        "_index_kernel",
+        "_index_owner",
     )
 
     def __init__(
@@ -136,11 +142,11 @@ class WaitCondition:
         self.predicate = predicate
         self.sensitivity = frozenset(sensitivity)
         self.label = label
-        #: cached sensitivity-index buckets of ``_index_kernel``
-        #: (filled on first suspension; buckets are never replaced, so
-        #: they stay valid for that kernel's whole run)
+        #: cached sensitivity-index buckets of the kernel whose serial
+        #: is ``_index_owner`` (filled on first suspension; buckets are
+        #: never replaced, so they stay valid for that kernel's run)
         self._index_sets: Optional[Tuple[Set["Process"], ...]] = None
-        self._index_kernel: Optional["Kernel"] = None
+        self._index_owner = 0
 
 
 class WaitDelay:
@@ -249,6 +255,7 @@ class Kernel:
         tracer=None,
         observer=None,
     ):
+        self._serial = next(_kernel_serials)
         self.now: float = 0.0
         self._signals: Dict[str, object] = {}
         self._pending: Dict[str, object] = {}
@@ -371,6 +378,25 @@ class Kernel:
         if self.metrics is not None:
             self.metrics.processes_killed += 1
         self._notify_joiners(process)
+
+    def close(self) -> None:
+        """End the kernel's life after its last :meth:`run`.
+
+        Closes the generator of every process that has not finished
+        (the endless servers of a refined design, or everything still
+        runnable when a run raised), releasing whatever their frames
+        hold, and drops the cached index buckets of the conditions
+        still waited on.  A blocked process then no longer reaches,
+        through its condition, the index set that holds it: a closed
+        kernel keeps no reference cycle of its own.  The final state
+        stays readable — signals, :meth:`blocked_processes`,
+        :meth:`blocked_report` — but the kernel must not run again.
+        """
+        for process in self._processes:
+            if not process.finished:
+                process.generator.close()
+        for condition in self._cond_waiters.values():
+            condition._index_sets = None
 
     @property
     def processes(self) -> List[Process]:
@@ -498,6 +524,7 @@ class Kernel:
         signals = self._signals
         sensitivity = self._sensitivity
         cond_waiters = self._cond_waiters
+        serial = self._serial
         seq = self._seq
         steps = self.steps
         delta_streak = self._delta_streak
@@ -576,7 +603,7 @@ class Kernel:
                         buckets = request._index_sets
                         if (
                             buckets is None
-                            or request._index_kernel is not self
+                            or request._index_owner != serial
                         ):
                             resolved = []
                             for name in request.sensitivity:
@@ -585,7 +612,7 @@ class Kernel:
                                     waiters = sensitivity[name] = set()
                                 resolved.append(waiters)
                             buckets = request._index_sets = tuple(resolved)
-                            request._index_kernel = self
+                            request._index_owner = serial
                         for waiters in buckets:
                             waiters.add(process)
                     else:
@@ -737,7 +764,7 @@ class Kernel:
             process._wait_seq = next(self._seq)
             self._cond_waiters[process] = request
             buckets = request._index_sets
-            if buckets is None or request._index_kernel is not self:
+            if buckets is None or request._index_owner != self._serial:
                 index = self._sensitivity
                 resolved = []
                 for name in request.sensitivity:
@@ -746,7 +773,7 @@ class Kernel:
                         waiters = index[name] = set()
                     resolved.append(waiters)
                 buckets = request._index_sets = tuple(resolved)
-                request._index_kernel = self
+                request._index_owner = self._serial
             for waiters in buckets:
                 waiters.add(process)
         elif isinstance(request, WaitDelay):
@@ -786,7 +813,7 @@ class Kernel:
         number of distinct signal names, so the empties cost nothing.
         """
         buckets = condition._index_sets
-        if buckets is not None and condition._index_kernel is self:
+        if buckets is not None and condition._index_owner == self._serial:
             for waiters in buckets:
                 waiters.discard(process)
             return

@@ -20,7 +20,7 @@ subtype with a message naming the offending behavior.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.errors import ScopeError, SpecError, TypeMismatchError
 from repro.spec.behavior import Behavior, CompositeBehavior, LeafBehavior
@@ -233,8 +233,6 @@ def _check_call(
 def _check_subprogram(spec: Specification, sub: Subprogram) -> None:
     """Subprogram bodies resolve against parameters, local declarations
     and the global scope only."""
-    visible: Set[str] = {p.name for p in sub.params}
-    visible.update(d.name for d in sub.decls)
     local_kind: Dict[str, StorageClass] = {p.name: StorageClass.VARIABLE for p in sub.params}
     local_kind.update({d.name: d.kind for d in sub.decls})
 
@@ -248,41 +246,53 @@ def _check_subprogram(spec: Specification, sub: Subprogram) -> None:
             )
         return found.kind
 
-    def check_stmts(stmts: Body, loop_vars: Set[str]) -> None:
-        for stmt in stmts:
-            for expr in stmt.expressions():
-                for name in free_variables(expr):
-                    if name not in loop_vars:
-                        kind_of(name)
-            if isinstance(stmt, Assign):
-                target = lvalue_name(stmt.target)
-                if target not in loop_vars and kind_of(target) is StorageClass.SIGNAL:
-                    raise TypeMismatchError(
-                        f"in subprogram {sub.name!r}: ':=' targets signal {target!r}"
-                    )
-            elif isinstance(stmt, SignalAssign):
-                target = lvalue_name(stmt.target)
-                if target in loop_vars or kind_of(target) is not StorageClass.SIGNAL:
-                    raise TypeMismatchError(
-                        f"in subprogram {sub.name!r}: '<=' targets non-signal "
-                        f"{target!r}"
-                    )
-            elif isinstance(stmt, CallStmt):
-                callee = spec.subprograms.get(stmt.callee)
-                if callee is None:
-                    raise SpecError(
-                        f"in subprogram {sub.name!r}: call to undeclared "
-                        f"subprogram {stmt.callee!r}"
-                    )
-                if len(stmt.args) != callee.arity:
-                    raise SpecError(
-                        f"in subprogram {sub.name!r}: {stmt.callee!r} expects "
-                        f"{callee.arity} argument(s), got {len(stmt.args)}"
-                    )
-            if isinstance(stmt, For):
-                check_stmts(stmt.loop_body, loop_vars | {stmt.variable})
-            else:
-                for nested in stmt.child_bodies():
-                    check_stmts(nested, loop_vars)
+    _check_subprogram_stmts(spec, sub, kind_of, sub.stmt_body, set())
 
-    check_stmts(sub.stmt_body, set())
+
+def _check_subprogram_stmts(
+    spec: Specification,
+    sub: Subprogram,
+    kind_of: Callable[[str], StorageClass],
+    stmts: Body,
+    loop_vars: Set[str],
+) -> None:
+    # module level, not nested in _check_subprogram: a nested function
+    # that calls itself holds itself through its closure cell, a
+    # reference cycle only the garbage collector can free
+    for stmt in stmts:
+        for expr in stmt.expressions():
+            for name in free_variables(expr):
+                if name not in loop_vars:
+                    kind_of(name)
+        if isinstance(stmt, Assign):
+            target = lvalue_name(stmt.target)
+            if target not in loop_vars and kind_of(target) is StorageClass.SIGNAL:
+                raise TypeMismatchError(
+                    f"in subprogram {sub.name!r}: ':=' targets signal {target!r}"
+                )
+        elif isinstance(stmt, SignalAssign):
+            target = lvalue_name(stmt.target)
+            if target in loop_vars or kind_of(target) is not StorageClass.SIGNAL:
+                raise TypeMismatchError(
+                    f"in subprogram {sub.name!r}: '<=' targets non-signal "
+                    f"{target!r}"
+                )
+        elif isinstance(stmt, CallStmt):
+            callee = spec.subprograms.get(stmt.callee)
+            if callee is None:
+                raise SpecError(
+                    f"in subprogram {sub.name!r}: call to undeclared "
+                    f"subprogram {stmt.callee!r}"
+                )
+            if len(stmt.args) != callee.arity:
+                raise SpecError(
+                    f"in subprogram {sub.name!r}: {stmt.callee!r} expects "
+                    f"{callee.arity} argument(s), got {len(stmt.args)}"
+                )
+        if isinstance(stmt, For):
+            _check_subprogram_stmts(
+                spec, sub, kind_of, stmt.loop_body, loop_vars | {stmt.variable}
+            )
+        else:
+            for nested in stmt.child_bodies():
+                _check_subprogram_stmts(spec, sub, kind_of, nested, loop_vars)

@@ -17,10 +17,21 @@ from repro.refine.refiner import Refiner
 from repro.sim import Simulator
 from repro.sim.eval import Env, ExprCompiler, Frame, evaluate
 from repro.sim.kernel import Kernel
-from repro.spec.builder import assign, leaf, spec
+from repro.spec.builder import (
+    assign,
+    call,
+    conc,
+    if_,
+    leaf,
+    sassign,
+    spec,
+    wait_for,
+    wait_until,
+)
 from repro.spec.expr import BINARY_OPS, BinOp, Const, Index, UnaryOp, VarRef, var
+from repro.spec.subprogram import Direction, Param, Subprogram
 from repro.spec.types import int_type
-from repro.spec.variable import variable
+from repro.spec.variable import Role, signal, variable
 
 
 def make_env():
@@ -154,6 +165,33 @@ class TestExpressionParity:
         assert compiled(env_a) == 7
 
 
+def recursive_design():
+    """``down(n, r)`` adds n, n-1, ..., 1 to ``r``, waiting one tick per
+    level: a suspending subprogram that calls itself."""
+    down = Subprogram(
+        "down",
+        params=[Param("n", int_type()), Param("r", int_type(), Direction.INOUT)],
+        stmt_body=[
+            if_(
+                var("n") > 0,
+                [
+                    assign("r", var("r") + var("n")),
+                    wait_for(1),
+                    call("down", var("n") - 1, "r"),
+                ],
+            )
+        ],
+    )
+    design = spec(
+        "Recursive",
+        leaf("A", call("down", 4, "out")),
+        variables=[variable("out", int_type(), role=Role.OUTPUT, init=0)],
+        subprograms=[down],
+    )
+    design.validate()
+    return design
+
+
 def run_both_modes(design_spec, inputs=None):
     cached = Simulator(design_spec, compile_cache=True).run(inputs=inputs)
     walked = Simulator(design_spec, compile_cache=False).run(inputs=inputs)
@@ -191,6 +229,12 @@ class TestSimulatorParity:
             Simulator(design, compile_cache=False).run()
         assert str(cached_error.value) == str(walker_error.value)
 
+    def test_recursive_subprogram_matches_walker(self):
+        design = recursive_design()
+        cached, walked = run_both_modes(design)
+        assert observable(cached) == observable(walked)
+        assert cached.output_values() == {"out": 10}
+
     def test_rerun_reuses_statement_cache(self):
         design = spec(
             "T",
@@ -205,3 +249,95 @@ class TestSimulatorParity:
         second = simulator.run()
         assert len(simulator._stmt_cache) == cached_size  # no recompile
         assert first.value_of("x") == second.value_of("x") == 1
+
+
+def observable(result):
+    """Everything a run exposes that the two modes must agree on."""
+    return (
+        result.output_values(),
+        [(e.step, e.variable, e.value) for e in result.trace],
+        result.steps,
+        result.time,
+        result.completed,
+        result.blocked(),
+    )
+
+
+class TestSharedWaits:
+    """A ``wait until`` whose free names are all signals builds one
+    request per run and frame-owner chain, shared by every process that
+    reaches it; these pin the sharing to the walker's semantics."""
+
+    def test_two_processes_blocked_in_one_procedure_wait(self):
+        sync = Subprogram("sync", stmt_body=[wait_until(var("go").eq(1))])
+        hold = Subprogram("hold", stmt_body=[wait_until(var("stop").eq(1))])
+        design = spec(
+            "Shared",
+            conc(
+                "Top",
+                [
+                    leaf("A", call("sync"), assign("log", var("log") * 10 + 1)),
+                    leaf("B", call("sync"), assign("log", var("log") * 10 + 2)),
+                    leaf("C", wait_for(3), sassign("go", 1)),
+                    # never released: blocked at quiescence
+                    leaf("D1", call("hold"), assign("log", 0)),
+                    leaf("D2", call("hold"), assign("log", 0)),
+                ],
+            ),
+            variables=[
+                variable("log", int_type(), role=Role.OUTPUT, init=0),
+                signal("go", int_type(), init=0),
+                signal("stop", int_type(), init=0),
+            ],
+            subprograms=[sync, hold],
+        )
+        design.validate()
+        cached, walked = run_both_modes(design)
+        assert observable(cached) == observable(walked)
+        assert cached.output_values() == {"log": 12}
+        assert cached.blocked() == ["Top", "D1", "D2"]
+        # D1 and D2 wait on one shared request (the walker builds two)
+        waits = {
+            p.name: p._waiting_on for p in cached.kernel.blocked_processes()
+        }
+        assert waits["D1"] is waits["D2"]
+
+    @pytest.mark.parametrize("first", ["P", "Q"])
+    def test_shadowing_local_is_not_shared(self, first):
+        # one Wait node in two leaves: in P ``s`` is the signal, in Q a
+        # local that is already 1, so Q must not wait for the signal:
+        # Q logs 2 at once, R logs 3 when it raises the signal, P logs 1
+        # after it (a Q that waited for the signal would log after R)
+        shared_wait = wait_until(var("s").eq(1))
+        p = leaf("P", shared_wait, assign("log", var("log") * 10 + 1))
+        q = leaf(
+            "Q",
+            shared_wait,
+            assign("log", var("log") * 10 + 2),
+            decls=[variable("s", int_type(), init=1)],
+        )
+        waiters = [p, q] if first == "P" else [q, p]
+        design = spec(
+            "Shadow",
+            conc(
+                "Top",
+                waiters
+                + [
+                    leaf(
+                        "R",
+                        wait_for(3),
+                        sassign("s", 1),
+                        assign("log", var("log") * 10 + 3),
+                    )
+                ],
+            ),
+            variables=[
+                variable("log", int_type(), role=Role.OUTPUT, init=0),
+                signal("s", int_type(), init=0),
+            ],
+        )
+        design.validate()
+        cached, walked = run_both_modes(design)
+        assert observable(cached) == observable(walked)
+        assert cached.output_values() == {"log": 231}
+

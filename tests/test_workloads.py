@@ -18,6 +18,9 @@ from repro.apps.workloads import (
 from repro.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+FIGURE10_ARTIFACT = (
+    Path(__file__).parent.parent / "benchmarks" / "output" / "figure10.txt"
+)
 
 
 class TestRegistry:
@@ -261,6 +264,16 @@ class TestGoldenReports:
             f"{workload.id}_figure10.txt",
             _normalize_fig10(workload_fig10.render() + "\n"),
         )
+
+    def test_committed_figure10_artifact_matches_golden(self):
+        """``benchmarks/output/figure10.txt`` embeds timings and
+        equivalence flags, so no byte comparison covers it; with both
+        stripped its size and ratio cells must equal the medical
+        golden, or the artifact has drifted from the code."""
+        artifact = re.sub(r" OK(?= *\|)", "", FIGURE10_ARTIFACT.read_text())
+        assert _normalize_fig10(artifact) == (
+            GOLDEN_DIR / "medical_figure10.txt"
+        ).read_text()
 
     def test_partitioners_golden(self, request, workload):
         self._check(
